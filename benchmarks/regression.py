@@ -53,7 +53,6 @@ from repro.bfs.kernel import TraversalKernel  # noqa: E402
 from repro.graph.io import save_npz  # noqa: E402
 from repro.harness.workloads import get_workload  # noqa: E402
 from repro.parallel.costmodel import LevelSynchronousCostModel  # noqa: E402
-from repro.parallel.scaling import ScalingStudy  # noqa: E402
 from repro.prep.reorder import ORDER_STRATEGIES, apply_order  # noqa: E402
 from repro.query import QueryEngine  # noqa: E402
 from repro.store import load_scsr, save_scsr  # noqa: E402
@@ -113,19 +112,6 @@ def _stage_fdiam(graph, repeats):
         "wall_s": wall,
         "bfs_count": res.stats.bfs_traversals,
         "edges_examined": res.stats.edges_examined,
-        "diameter": res.diameter,
-    }
-
-
-def _stage_fdiam_lanes64(graph, repeats):
-    config = FDiamConfig(bfs_batch_lanes=64)
-    wall, res = _timed(lambda: fdiam(graph, config), repeats)
-    return {
-        "wall_s": wall,
-        "bfs_count": res.stats.bfs_traversals,
-        "edges_examined": res.stats.edges_examined,
-        "lane_fallbacks": res.stats.lane_fallbacks,
-        "lane_fallback_reasons": list(res.stats.lane_fallback_reasons),
         "diameter": res.diameter,
     }
 
@@ -254,33 +240,6 @@ def _stage_query_service_load(graph, repeats):
                 "the serial oracle"
             )
     return record
-
-
-def _stage_scaling_curve(graph, repeats):
-    """Measured workers × wall_s curve of the shared-memory sweep backend.
-
-    A fixed 64-source hub battery is timed at 1, 2, and 4 workers
-    through :meth:`ScalingStudy.measure_sweep` (worker count 1 is the
-    in-process bitparallel backend, higher counts the multiprocess
-    backend over shared CSR segments). The eccentricity checksum is
-    identical across worker counts by construction — measure_sweep
-    raises otherwise — and is compared exactly against the baseline.
-    Wall times sit next to the modeled Figure-7 curve; on a single-core
-    runner the measured speedups are flat-to-negative, which is the
-    honest reading the stage exists to record.
-    """
-    study = ScalingStudy()
-    points = study.measure_sweep(graph, workers=(1, 2, 4), num_sources=64)
-    out = {
-        "sources": points[0].sources,
-        "ecc_checksum": points[0].ecc_checksum,
-    }
-    for p in points:
-        out[f"workers_{p.workers}_wall_s"] = round(p.wall_s, 6)
-        out[f"workers_{p.workers}_backend"] = p.backend
-        if p.workers > 1:
-            out[f"speedup_{p.workers}"] = round(p.speedup, 3)
-    return out
 
 
 def _stage_store_compress(graph, repeats):
@@ -632,7 +591,6 @@ def _scale_fdiam_budgeted(graph):
 STAGES = {
     "bfs_hybrid": (_stage_bfs_hybrid, True),
     "fdiam": (_stage_fdiam, True),
-    "fdiam_lanes64": (_stage_fdiam_lanes64, True),
     "fdiam_prep": (_stage_fdiam_prep, True),
     "fdiam_warm": (_stage_fdiam_warm, True),
     "query_batch": (_stage_query_batch, True),
@@ -641,7 +599,6 @@ STAGES = {
     "spectrum_lanes64": (lambda g, r: _stage_spectrum(g, r, 64), True),
     "sumsweep_scalar": (lambda g, r: _stage_sumsweep(g, r, 0), False),
     "sumsweep_lanes64": (lambda g, r: _stage_sumsweep(g, r, 64), True),
-    "scaling_curve": (_stage_scaling_curve, True),
     "store_compress": (_stage_store_compress, True),
     "fdiam_scsr": (_stage_fdiam_scsr, True),
     "dynamic_churn": (_stage_dynamic_churn, True),
@@ -815,49 +772,6 @@ def warm_check(graphs=SMOKE_GRAPHS) -> int:
         else:
             print(f"WARM-CHECK FAIL: {line}", file=sys.stderr)
             failures += 1
-    return 1 if failures else 0
-
-
-def scaling_check(graphs=SMOKE_GRAPHS) -> int:
-    """CI gate for the multiprocess sweep backend (``--scaling-check``).
-
-    Runs the measured workers × wall_s battery on each graph and fails
-    unless every worker count produced the identical eccentricity
-    checksum (measure_sweep raises on divergence) and the multi-worker
-    points actually ran on the shared-memory multiprocess backend.
-    Wall-clock speedup is deliberately *not* gated — on the single-core
-    CI runner the curve is flat by physics, and pretending otherwise
-    would gate on noise.
-    """
-    from repro.errors import AlgorithmError
-
-    failures = 0
-    for name in graphs:
-        graph = get_workload(name).graph
-        study = ScalingStudy()
-        try:
-            points = study.measure_sweep(graph, workers=(1, 2, 4))
-        except AlgorithmError as exc:
-            print(f"SCALING-CHECK FAIL: {name}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        curve = ", ".join(
-            f"{p.workers}w {p.wall_s * 1e3:.1f}ms ({p.backend}, "
-            f"{p.speedup:.2f}x)"
-            for p in points
-        )
-        line = f"{name}: checksum {points[0].ecc_checksum}, {curve}"
-        wrong = [p for p in points if p.workers > 1 and p.backend != "multiprocess"]
-        if wrong:
-            print(
-                f"SCALING-CHECK FAIL: {line} — worker counts "
-                f"{[p.workers for p in wrong]} fell back off the "
-                "multiprocess backend",
-                file=sys.stderr,
-            )
-            failures += 1
-        else:
-            print(f"scaling-check OK: {line}")
     return 1 if failures else 0
 
 
@@ -1069,12 +983,6 @@ def main(argv=None) -> int:
         help="cold-then-warm fdiam assertion only (no snapshot written)",
     )
     parser.add_argument(
-        "--scaling-check",
-        action="store_true",
-        help="measured multiprocess scaling-curve assertion only "
-        "(checksum identical across worker counts; no snapshot written)",
-    )
-    parser.add_argument(
         "--bytes-per-edge-check",
         action="store_true",
         help="compressed-store size assertion on the million-vertex "
@@ -1110,8 +1018,6 @@ def main(argv=None) -> int:
         return service_check(SMOKE_GRAPHS if args.smoke else FULL_GRAPHS)
     if args.warm_check:
         return warm_check(SMOKE_GRAPHS if args.smoke else FULL_GRAPHS)
-    if args.scaling_check:
-        return scaling_check(SMOKE_GRAPHS if args.smoke else FULL_GRAPHS)
     if args.bytes_per_edge_check:
         return bytes_per_edge_check()
     if args.out_of_core_check:

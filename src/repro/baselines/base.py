@@ -64,24 +64,17 @@ class BaselineContext:
         engine: Engine = "parallel",
         deadline: float | None = None,
         batch_lanes: int = 0,
-        workers: int = 1,
     ):
         if graph.num_vertices == 0:
             raise AlgorithmError("diameter of an empty graph is undefined")
-        if workers < 1:
-            raise AlgorithmError(f"workers must be >= 1, got {workers}")
         self.graph = graph
         self.engine_name = engine
         self.deadline = deadline
         self.batch_lanes = batch_lanes
-        self.workers = workers
         self.bfs_count = 0
-        self.kernel = TraversalKernel(
-            graph, engine=engine, deadline=deadline, batch_lanes=batch_lanes
-        )
+        self.kernel = TraversalKernel(graph, engine=engine, deadline=deadline)
         self.marks = self.kernel.workspace.marks
         self._executor = None
-        self._executor_vetoed = False
 
     def check_deadline(self) -> None:
         """Raise :class:`BenchmarkTimeout` once the deadline has passed."""
@@ -97,43 +90,26 @@ class BaselineContext:
         return self.kernel.bfs(source, record_dist=record_dist)
 
     def executor(self):
-        """The context's lazily built sweep executor, or ``None``.
-
-        A single-worker lane request pins the ``bitparallel`` backend
-        (exactly the pre-executor behaviour); a worker team goes
-        through ``"auto"``. When auto resolves to the ``serial``
-        backend the batched rounds would degrade the drivers' careful
-        alternating selection to rounds of one, so the executor is
-        vetoed and the callers fall back to their scalar loops.
-        """
-        if self._executor is None and not self._executor_vetoed:
-            ex = self.kernel.sweep_executor(
-                workers=self.workers,
-                batch_lanes=self.batch_lanes if self.batch_lanes > 0 else 64,
-                backend="bitparallel" if self.workers <= 1 else "auto",
+        """The context's lazily built ``bitparallel`` sweep executor."""
+        if self._executor is None:
+            self._executor = self.kernel.sweep_executor(
+                batch_lanes=self.batch_lanes, backend="bitparallel"
             )
-            if ex.backend == "serial":
-                ex.close()
-                self._executor_vetoed = True
-            else:
-                self._executor = ex
         return self._executor
 
     @property
     def sweep_batch(self) -> int:
         """Sources per batched bounding round; 0 keeps the scalar loop."""
-        if self.batch_lanes <= 0 and self.workers <= 1:
+        if self.batch_lanes <= 0:
             return 0
-        ex = self.executor()
-        return ex.round_size if ex is not None else 0
+        return self.executor().round_size
 
     def run_batch(self, sources):
         """One counted sweep round: exact distances from every source.
 
         Counts one BFS per source (the lanes are full logical
-        traversals; only the edge gathers — and, with a worker team,
-        the processes — are shared). Returns the ``(k, n)`` distance
-        matrix and the round's
+        traversals; only the edge gathers are shared). Returns the
+        ``(k, n)`` distance matrix and the round's
         :class:`~repro.parallel.sweep.SweepInfo`.
         """
         self.check_deadline()
@@ -145,7 +121,7 @@ class BaselineContext:
         self.kernel.workspace.release_dist(dist)
 
     def close(self) -> None:
-        """Shut down the sweep executor (worker pool, shm segments)."""
+        """Release the sweep executor."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None

@@ -124,20 +124,17 @@ def sumsweep_diameter(
     num_sweeps: int = DEFAULT_SWEEPS,
     deadline: float | None = None,
     batch_lanes: int = 0,
-    workers: int = 1,
 ) -> BaselineResult:
     """Exact diameter via the (undirected, simplified) ExactSumSweep.
 
     ``batch_lanes > 0`` keeps the seeding sweeps sequential (each seed
     choice depends on the previous sweeps' distance sums) but runs the
     bounding phase in bit-parallel rounds of up to that many vertices —
-    exact distances for all of them from one shared-gather sweep.
-    ``workers > 1`` additionally spreads each bounding round over a
-    shared-memory worker pool (see :mod:`repro.parallel.sweep`); every
+    exact distances for all of them from one shared-gather sweep. Every
     update is the same sound bound refinement, so the diameter is exact
-    on any backend.
+    either way.
     """
-    ctx = BaselineContext(graph, engine, deadline, batch_lanes=batch_lanes, workers=workers)
+    ctx = BaselineContext(graph, engine, deadline, batch_lanes=batch_lanes)
     try:
         groups, connected = component_representatives(graph)
         best = 0

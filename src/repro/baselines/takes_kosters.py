@@ -118,19 +118,16 @@ def bounding_diameters(
     engine: Engine = "parallel",
     deadline: float | None = None,
     batch_lanes: int = 0,
-    workers: int = 1,
 ) -> BaselineResult:
     """Exact diameter via Takes–Kosters BoundingDiameters.
 
     ``batch_lanes > 0`` evaluates up to that many selected vertices per
     bit-parallel sweep (shared edge gathers, see
     :mod:`repro.bfs.bitparallel`) and refines the bounds from all of
-    their exact distance rows; ``workers > 1`` spreads each round over
-    a shared-memory worker pool (:mod:`repro.parallel.sweep`). Every
-    update is the same sound triangle inequality, so the diameter is
-    exact on any backend.
+    their exact distance rows. Every update is the same sound triangle
+    inequality, so the diameter is exact either way.
     """
-    ctx = BaselineContext(graph, engine, deadline, batch_lanes=batch_lanes, workers=workers)
+    ctx = BaselineContext(graph, engine, deadline, batch_lanes=batch_lanes)
     try:
         groups, connected = component_representatives(graph)
         best = 0

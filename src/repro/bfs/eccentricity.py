@@ -149,9 +149,7 @@ def all_eccentricities(
     n = graph.num_vertices
     ecc = np.zeros(n, dtype=np.int64)
     if batch_lanes > 0:
-        kernel = TraversalKernel(
-            graph, workspace=Workspace(n, marks=marks), batch_lanes=batch_lanes
-        )
+        kernel = TraversalKernel(graph, workspace=Workspace(n, marks=marks))
         for start in range(0, n, batch_lanes):
             chunk = np.arange(start, min(start + batch_lanes, n), dtype=np.int64)
             sweep = kernel.levels_batched64(chunk)

@@ -30,10 +30,7 @@ whole traversal surface behind two objects:
   into. The top-down and bottom-up modules act as direction-step
   strategies invoked by the kernel; an optional deadline is checked at
   every level so even a single huge traversal aborts within one level
-  of the budget expiring. With ``batch_lanes > 0`` (the
-  ``--bfs-batch-lanes`` switch) the merged :meth:`levels` wave also
-  runs on the lane machinery, producing bit-identical level sets while
-  exercising the pooled lane matrices.
+  of the budget expiring.
 
 The single-shot helpers in :mod:`repro.bfs.hybrid` and
 :mod:`repro.bfs.partial` remain as thin wrappers that build an
@@ -126,13 +123,6 @@ class WorkspaceStats:
     ``edges_examined`` totals the arcs gathered by every traversal that
     ran on the workspace (top-down, bottom-up, and lane sweeps alike).
 
-    The multiprocess sweep backend charges its shared-memory segments
-    here too: ``shm_segments`` counts every segment created on behalf
-    of this workspace's kernel (the shared CSR plus one output block
-    per round), ``shm_resident`` is what is mapped right now, and
-    ``shm_bytes`` is the high-water mark — the shm analog of
-    ``peak_scratch_bytes``.
-
     The compressed-store gather path mirrors the lane counters: when a
     kernel routes expansions through per-block decoding
     (:func:`repro.bfs.topdown.topdown_step_blocks`),
@@ -154,9 +144,6 @@ class WorkspaceStats:
     owned_bytes: int = 0
     epochs: int = 0
     edges_examined: int = 0
-    shm_segments: int = 0
-    shm_bytes: int = 0
-    shm_resident: int = 0
     store_block_requests: int = 0
     store_block_hits: int = 0
     store_blocks_decoded: int = 0
@@ -433,12 +420,6 @@ class TraversalKernel:
         :class:`~repro.errors.BenchmarkTimeout`, so even one huge
         traversal (2-sweep, Winnow, Extend) aborts within a level of
         the budget expiring.
-    batch_lanes:
-        When positive, the multi-source :meth:`levels` primitive routes
-        through the bit-parallel lane-sweep machinery (merged read-out;
-        results are identical, the lane words carry seed-group
-        diagnostics and the sweeps share the workspace's pooled lane
-        matrices). ``0`` (the default) keeps the scalar top-down wave.
     block_gather:
         Policy for the compressed-store gather path, effective only
         when the graph carries an open
@@ -479,7 +460,6 @@ class TraversalKernel:
         "directions",
         "workspace",
         "deadline",
-        "batch_lanes",
         "block_gather",
         "memory_budget",
         "memory_mode",
@@ -496,7 +476,6 @@ class TraversalKernel:
         directions: bool = True,
         workspace: Workspace | None = None,
         deadline: float | None = None,
-        batch_lanes: int = 0,
         block_gather: str = "auto",
         memory_budget: int | None = None,
         memory_mode: str = "auto",
@@ -512,9 +491,6 @@ class TraversalKernel:
                 f"{self.workspace.num_vertices} != {graph.num_vertices}"
             )
         self.deadline = deadline
-        if batch_lanes < 0:
-            raise AlgorithmError(f"batch_lanes must be >= 0, got {batch_lanes}")
-        self.batch_lanes = batch_lanes
         if block_gather not in ("auto", "force", "off"):
             raise AlgorithmError(
                 f"block_gather must be 'auto', 'force', or 'off', "
@@ -890,13 +866,6 @@ class TraversalKernel:
         if mark_sources:
             marks.visit(sources)
 
-        if self.batch_lanes > 0 and self.memory_mode not in ("cached", "stream"):
-            # Lane sweeps run on the decoded arrays; under a memory
-            # budget the scalar block path below bounds decoded scratch.
-            return self._levels_lanes(
-                sources, max_level, marks=marks, on_level=on_level
-            )
-
         budgeted = self.memory_mode in ("cached", "stream")
         use_blocks = budgeted or self._use_block_gather(len(sources), max_level)
         retain = self.memory_mode != "stream"
@@ -929,41 +898,6 @@ class TraversalKernel:
                 break
         if use_blocks:
             self._sync_store_stats()
-        return levels
-
-    def _levels_lanes(
-        self,
-        sources: np.ndarray,
-        max_level: int | None,
-        *,
-        marks,
-        on_level: Callable[[int, np.ndarray], object] | None,
-    ) -> list[np.ndarray]:
-        """Merged multi-source expansion on the bit-parallel machinery.
-
-        Level sets are identical to the scalar top-down wave (first
-        touch across all sources, read out through the shared marks);
-        the sources are spread round-robin over 64 lanes so the sweep
-        exercises the lane words and the workspace's pooled lane
-        matrices — see :mod:`repro.bfs.bitparallel` (merged mode).
-        """
-        levels: list[np.ndarray] = []
-
-        def collect(depth: int, fresh: np.ndarray, _words: np.ndarray):
-            levels.append(fresh)
-            if on_level is not None and on_level(depth, fresh) is False:
-                return False
-            return None
-
-        lane_sweep(
-            self.graph,
-            sources,
-            max_level,
-            pool=self.workspace,
-            marks=marks,
-            on_level=collect,
-            check=self.check_deadline,
-        )
         return levels
 
     def levels_batched64(
@@ -1097,33 +1031,22 @@ class TraversalKernel:
                         on_discover(step + 1, frontier)
         return discovered
 
-    def sweep_executor(
-        self,
-        *,
-        workers: int = 1,
-        batch_lanes: int = 64,
-        backend: str = "auto",
-        start_method: str | None = None,
-    ):
+    def sweep_executor(self, *, batch_lanes: int = 64, backend: str = "auto"):
         """A :class:`~repro.parallel.sweep.SweepExecutor` bound to this kernel.
 
         The preferred way for callers that already hold a kernel
         (spectrum, baselines, query engine) to obtain a dispatcher:
-        the executor shares this kernel's workspace — so serial and
-        bitparallel rounds keep the pooled buffers and the edge
-        accounting, and multiprocess rounds charge their shm segments
-        to :class:`WorkspaceStats`. Call-time import: the sweep layer
-        sits above the kernel.
+        the executor shares this kernel's workspace, so its rounds keep
+        the pooled buffers and the edge accounting. Call-time import:
+        the sweep layer sits above the kernel.
         """
         from repro.parallel.sweep import create_executor
 
         return create_executor(
             self.graph,
-            workers=workers,
             batch_lanes=batch_lanes,
             backend=backend,
             kernel=self,
-            start_method=start_method,
             memory_budget=self.memory_budget,
         )
 

@@ -74,18 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="K",
-        help="run multi-source waves (Winnow resume, Eliminate extension, "
-        "--spectrum) on the bit-parallel engine, up to K sources per "
-        "shared-gather sweep (0 = scalar path; 64 fills one lane word)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="W",
-        help="worker processes for batched source fan-outs (--spectrum): "
-        "W >= 2 sweeps through the shared-memory multiprocess backend "
-        "when the cost model predicts a payoff (default 1, in-process)",
+        help="run --spectrum refinement rounds on the bit-parallel engine, "
+        "up to K sources per shared-gather sweep (0 = scalar path; 64 "
+        "fills one lane word)",
     )
     parser.add_argument(
         "--prep",
@@ -341,15 +332,6 @@ def build_query_parser() -> argparse.ArgumentParser:
         help="maximum sources per physical sweep chunk (default 256)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="W",
-        help="worker processes for the sweep dispatch: W >= 2 runs fresh "
-        "source batches through the shared-memory multiprocess backend "
-        "when the cost model predicts a payoff (default 1, in-process)",
-    )
-    parser.add_argument(
         "--mmap",
         action="store_true",
         help="memory-map .npz graph files (uncompressed archives only)",
@@ -444,14 +426,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="maximum sources per physical sweep chunk (default 256)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="W",
-        help="worker processes for each graph's sweep dispatch "
-        "(default 1, in-process)",
-    )
-    parser.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
@@ -479,9 +453,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     import os
 
     args = build_serve_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     # Call-time imports: the service stack is only paid for when serving.
     from repro.service import QueryService, SchedulerConfig
 
@@ -507,7 +478,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         byte_budget=args.resident_budget,
         memory_budget=args.memory_budget,
         batch_lanes=args.batch_lanes,
-        workers=args.workers,
     )
     for spec in args.graphs:
         key, sep, path = spec.partition("=")
@@ -614,16 +584,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "self-test); see repro.verify.faults",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="W",
-        help="worker processes for the campaign: W >= 2 fans rounds of "
-        "independent trials out over a process pool; the trial-seed "
-        "sequence matches the serial campaign (default 1; static "
-        "campaigns only)",
-    )
-    parser.add_argument(
         "--mutate",
         action="store_true",
         help="fuzz the dynamic-graph stack instead: random insert/delete/"
@@ -647,9 +607,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
 def fuzz_main(argv: list[str] | None = None) -> int:
     """Entry point of the ``fuzz`` subcommand; returns the exit code."""
     args = build_fuzz_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     from contextlib import nullcontext
 
     from repro.verify import available_faults, fuzz, inject_fault, replay
@@ -702,7 +659,6 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                 max_vertices=args.max_vertices,
                 artifact_dir=args.artifacts,
                 shrink=not args.no_shrink,
-                workers=args.workers,
                 progress=progress,
             )
     families = ", ".join(
@@ -722,9 +678,6 @@ def fuzz_main(argv: list[str] | None = None) -> int:
 def query_main(argv: list[str] | None = None) -> int:
     """Entry point of the ``query`` subcommand; returns the exit code."""
     args = build_query_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     # Call-time import: the query/cache layers sit above the CLI's other
     # dependencies and are only paid for when the subcommand runs.
     from repro.query import QueryEngine
@@ -748,9 +701,7 @@ def query_main(argv: list[str] | None = None) -> int:
         store = WarmStartStore(args.cache)
     engine = None
     try:
-        engine = QueryEngine(
-            store=store, batch_lanes=args.batch_lanes, workers=args.workers
-        )
+        engine = QueryEngine(store=store, batch_lanes=args.batch_lanes)
         key = engine.add_graph(graph)
         start = time.perf_counter()
         answers, stats = engine.run(key, queries)
@@ -796,9 +747,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.bfs_batch_lanes < 0:
         print("error: --bfs-batch-lanes must be >= 0", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.memory_budget is not None and args.memory_budget < 0:
         print("error: --memory-budget must be >= 0", file=sys.stderr)
         return 2
@@ -820,7 +768,6 @@ def main(argv: list[str] | None = None) -> int:
         use_eliminate=not args.no_eliminate,
         use_chain=not args.no_chain,
         use_max_degree_start=not args.start_vertex_zero,
-        bfs_batch_lanes=args.bfs_batch_lanes,
         prep=args.prep,
         memory_budget=args.memory_budget,
     )
@@ -886,9 +833,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{prep.mirror_closed_groups} closed mirror groups)")
             print(f"  components   : {prep.components_solved} solved, "
                   f"{prep.components_skipped} skipped "
-                  f"({prep.lane_components} lane, "
-                  f"{prep.scalar_components} scalar, "
-                  f"{prep.tip_batch_components} tip-batched)")
+                  f"({prep.tip_batch_components} tip-batched)")
             if prep.reorder_strategies:
                 picked = ", ".join(
                     f"{k}×{v}" for k, v in sorted(prep.reorder_strategies.items())
@@ -921,10 +866,6 @@ def main(argv: list[str] | None = None) -> int:
                       f"requests ({100 * ws.lane_hit_rate:.1f}% hit rate), "
                       f"{ws.lane_words_allocated:,} words allocated "
                       f"({format_bytes(8 * ws.lane_words_allocated)})")
-            if ws.shm_segments:
-                print(f"shm segments   : {ws.shm_segments} created "
-                      f"(peak {format_bytes(ws.shm_bytes)}, "
-                      f"{format_bytes(ws.shm_resident)} still attached)")
             if ws.store_block_requests:
                 print(f"store blocks   : {ws.store_block_hits}/"
                       f"{ws.store_block_requests} requests "
@@ -946,11 +887,6 @@ def main(argv: list[str] | None = None) -> int:
                           f"({100 * thrash:.1f}% thrash), "
                           f"{format_bytes(int(bandwidth))}/s decode "
                           "bandwidth")
-        reasons = result.stats.lane_fallback_reasons
-        if reasons:
-            print(f"lane fallbacks : {len(reasons)}")
-            for reason in reasons:
-                print(f"  - {reason}")
 
     if args.spectrum:
         if store is not None:
@@ -961,14 +897,12 @@ def main(argv: list[str] | None = None) -> int:
                 store=store,
                 engine=args.engine,
                 batch_lanes=args.bfs_batch_lanes,
-                workers=args.workers,
             )
         else:
             spec = eccentricity_spectrum(
                 graph,
                 engine=args.engine,
                 batch_lanes=args.bfs_batch_lanes,
-                workers=args.workers,
             )
         print(f"\nradius    : {spec.radius} (largest component)")
         print(f"center    : {len(spec.center)} vertices "
@@ -977,12 +911,12 @@ def main(argv: list[str] | None = None) -> int:
               f"(e.g. {spec.periphery[:5].tolist()})")
         print(f"spectrum BFS traversals: {spec.bfs_traversals} "
               f"in {spec.sweeps} sweeps", end="")
-        if spec.lane_fallback:
-            why = f": {spec.lane_fallback_reason}" if spec.lane_fallback_reason else ""
+        if spec.lanes_vetoed:
+            why = f": {spec.lane_veto_reason}" if spec.lane_veto_reason else ""
             print(f" (lane batch dropped to scalar by the cost model{why})")
-        elif args.bfs_batch_lanes > 0 or args.workers > 1:
-            backend = f"{spec.backend} backend, {spec.workers} worker(s), "
-            print(f" ({backend}lane occupancy {100 * spec.lane_occupancy:.0f}%)")
+        elif args.bfs_batch_lanes > 0:
+            print(f" ({spec.backend} backend, "
+                  f"lane occupancy {100 * spec.lane_occupancy:.0f}%)")
         else:
             print()
     return 0

@@ -58,20 +58,6 @@ class FDiamConfig:
         top-down.
     keep_traces:
         Retain per-level BFS traces (needed by the parallel cost model).
-    bfs_batch_lanes:
-        When positive, the multi-source waves of Winnow resume and the
-        Eliminate extension run on the bit-parallel lane machinery
-        (:mod:`repro.bfs.bitparallel`, merged mode) instead of the
-        scalar top-down loop — identical level sets, shared pooled lane
-        matrices. ``0`` (the default) keeps the scalar path. This is
-        the ``--bfs-batch-lanes`` CLI switch.
-    lane_fallback:
-        Let the run drop a requested lane batch back to the scalar path
-        when the cost model advises against it — after the 2-sweep, the
-        initial bound is compared against the model's merged-wave level
-        cap (high-diameter graphs pay lane-word traffic over hundreds of
-        near-empty levels for nothing). ``False`` forces the lanes to
-        stay on regardless, for A/B measurements.
     chain_tip_batch:
         Resolve the chain tips that survive Chain Processing with one
         bit-parallel lane sweep from their anchors instead of one
@@ -128,8 +114,6 @@ class FDiamConfig:
     threshold: float = DEFAULT_THRESHOLD
     directions: bool = True
     keep_traces: bool = False
-    bfs_batch_lanes: int = 0
-    lane_fallback: bool = True
     chain_tip_batch: bool = False
     prep: str = "off"
     memory_budget: int | None = None

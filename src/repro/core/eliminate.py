@@ -11,9 +11,7 @@ The paper runs Eliminate serially even in the parallel code ("Since
 this code tends to only execute a couple of iterations with just a few
 elements on the worklist, F-Diam runs it serially"); this reproduction
 uses the shared partial-BFS level expansion for both engines, which is
-the same level-synchronous computation. Under ``--bfs-batch-lanes`` the
-kernel runs that expansion on the bit-parallel lane machinery (merged
-mode, identical level sets); the call sites here are unchanged.
+the same level-synchronous computation.
 """
 
 from __future__ import annotations

@@ -16,10 +16,6 @@ handling: the regions around them were already expanded to depth
 ``old_bound - recorded`` when they were recorded, and the vertices on
 that expansion's last level carry bound ``old_bound`` — so they are in
 the seed set and continue the wave exactly where it stopped.
-
-Under ``--bfs-batch-lanes`` the kernel runs this multi-source wave on
-the bit-parallel lane machinery (merged mode, identical level sets);
-the call site here is unchanged.
 """
 
 from __future__ import annotations

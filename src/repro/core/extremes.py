@@ -70,15 +70,12 @@ class EccentricitySpectrum:
     lane_occupancy: float = 0.0
     #: Whether a requested lane batch was dropped back to the scalar
     #: path because the cost model advised against it (``auto_fallback``).
-    lane_fallback: bool = False
-    #: The cost model's verdict when ``lane_fallback`` is set, else "".
-    lane_fallback_reason: str = ""
+    lanes_vetoed: bool = False
+    #: The cost model's verdict when ``lanes_vetoed`` is set, else "".
+    lane_veto_reason: str = ""
     #: Sweep backend the refinement rounds ran on: "scalar" for the
-    #: one-vertex-at-a-time loop, else the executor's backend name
-    #: ("bitparallel" / "multiprocess").
+    #: one-vertex-at-a-time loop, else "bitparallel".
     backend: str = "scalar"
-    #: Worker processes the rounds were spread over (1 = in-process).
-    workers: int = 1
 
 
 def _refine_bounds(
@@ -210,7 +207,6 @@ def eccentricity_spectrum(
     engine: Engine = "parallel",
     batch_lanes: int = 0,
     auto_fallback: bool = True,
-    workers: int = 1,
     warm=None,
 ) -> EccentricitySpectrum:
     """Compute every vertex's exact eccentricity with bound pruning.
@@ -236,15 +232,8 @@ def eccentricity_spectrum(
     diameter inputs the lane sweep re-gathers the same edges over
     hundreds of thin levels (the measured 23× gather-pass blow-up on
     road meshes), so the request silently drops to the scalar path and
-    ``lane_fallback`` is set on the result. Pass ``False`` to force the
+    ``lanes_vetoed`` is set on the result. Pass ``False`` to force the
     lanes for A/B measurements.
-
-    ``workers > 1`` spreads each refinement round over a persistent
-    shared-memory worker pool (the ``multiprocess``
-    :class:`~repro.parallel.sweep.SweepExecutor` backend) when the cost
-    model expects the round to be worth leaving the process; the bound
-    refinement is identical either way, so the eccentricities are exact
-    regardless of backend or worker count.
 
     ``warm`` seeds the bounds from cached artifacts of a previous run on
     the byte-identical graph (:class:`repro.cache.WarmArtifacts`): after
@@ -257,8 +246,6 @@ def eccentricity_spectrum(
     n = graph.num_vertices
     if n == 0:
         raise AlgorithmError("eccentricity_spectrum on an empty graph")
-    if workers < 1:
-        raise AlgorithmError(f"workers must be >= 1, got {workers}")
     fell_back = False
     fallback_reason = ""
     if batch_lanes > 0 and auto_fallback:
@@ -270,34 +257,19 @@ def eccentricity_spectrum(
         estimate = model.estimate_diameter(
             n, graph.num_directed_edges, graph.max_degree()
         )
-        ok, reason = model.lane_batch_verdict(estimate, batch_lanes, merged=False)
+        ok, reason = model.lane_batch_verdict(estimate, batch_lanes)
         if not ok:
             batch_lanes = 0
             fell_back = True
             fallback_reason = reason
-    count_edges = engine == "parallel" or batch_lanes > 0 or workers > 1
+    count_edges = engine == "parallel" or batch_lanes > 0
     kernel = TraversalKernel(graph, engine=engine)
 
-    # Route the refinement rounds through the sweep dispatch layer when
-    # the caller asked for lanes or a worker team. A single-worker lane
-    # request pins the bitparallel backend (the historical behaviour);
-    # a team goes through "auto", and if the cost model still resolves
-    # to the serial backend the rounds are cheaper in the scalar
-    # alternating loop below, so the executor is dropped.
+    # Lane requests route the refinement rounds through the bitparallel
+    # sweep backend; otherwise the scalar alternating loop below runs.
     executor = None
-    if workers > 1:
-        executor = kernel.sweep_executor(
-            workers=workers,
-            batch_lanes=batch_lanes if batch_lanes > 0 else 64,
-            backend="auto",
-        )
-        if executor.backend == "serial":
-            executor.close()
-            executor = None
-    elif batch_lanes > 0:
-        executor = kernel.sweep_executor(
-            workers=1, batch_lanes=batch_lanes, backend="bitparallel"
-        )
+    if batch_lanes > 0:
+        executor = kernel.sweep_executor(batch_lanes=batch_lanes, backend="bitparallel")
 
     cc = connected_components(graph)
     ecc_lb = np.zeros(n, dtype=np.int64)
@@ -394,10 +366,9 @@ def eccentricity_spectrum(
         edges_examined=edges,
         sweeps=sweeps,
         lane_occupancy=occupancy_sum / sweeps if sweeps else 0.0,
-        lane_fallback=fell_back,
-        lane_fallback_reason=fallback_reason,
+        lanes_vetoed=fell_back,
+        lane_veto_reason=fallback_reason,
         backend=executor.backend if executor is not None else "scalar",
-        workers=executor.workers if executor is not None else 1,
     )
 
 

@@ -90,7 +90,6 @@ class FDiamState:
             threshold=config.threshold,
             directions=config.directions,
             deadline=deadline,
-            batch_lanes=config.bfs_batch_lanes,
             memory_budget=config.memory_budget,
             memory_mode=config.memory_mode,
         )

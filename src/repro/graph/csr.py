@@ -223,9 +223,7 @@ class CSRGraph:
         :class:`~repro.store.CompressedCSR` here (via
         ``object.__setattr__`` — derived state, like the adjacency-list
         cache) so the traversal kernel can route partial expansions
-        through per-block decoding and the multiprocess pool can ship
-        the compressed image instead of the decoded arrays. ``None``
-        for every other graph.
+        through per-block decoding. ``None`` for every other graph.
         """
         return getattr(self, "_backing", None)
 

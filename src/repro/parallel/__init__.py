@@ -15,20 +15,16 @@ from repro.parallel.costmodel import CostModelParams, LevelSynchronousCostModel
 from repro.parallel.executor import ChunkedExecutor, StepAccounting
 from repro.parallel.scaling import (
     PAPER_THREAD_COUNTS,
-    MeasuredPoint,
     ScalingPoint,
     ScalingStudy,
 )
-from repro.parallel.shm import SharedCSR, shm_available
 from repro.parallel.sweep import (
     BitparallelSweepExecutor,
     ExecutorCounters,
-    MultiprocessSweepExecutor,
     SerialSweepExecutor,
     SweepExecutor,
     SweepInfo,
     create_executor,
-    process_map,
 )
 
 __all__ = [
@@ -38,20 +34,15 @@ __all__ = [
     "CostModelParams",
     "ExecutorCounters",
     "LevelSynchronousCostModel",
-    "MeasuredPoint",
-    "MultiprocessSweepExecutor",
     "PAPER_THREAD_COUNTS",
     "ScalingPoint",
     "ScalingStudy",
     "SerialSweepExecutor",
-    "SharedCSR",
     "StepAccounting",
     "SweepExecutor",
     "SweepInfo",
     "assign_round_robin",
     "chunk_bounds",
     "create_executor",
-    "process_map",
-    "shm_available",
     "thread_work",
 ]

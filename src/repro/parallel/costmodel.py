@@ -98,13 +98,6 @@ class CostModelParams:
     #: scalar BFS. Beyond it the per-level word traffic over hundreds of
     #: near-empty levels eats the shared-gather saving.
     lane_level_cap: int = 64
-    #: Same cap for *merged* waves (Winnow resume / Eliminate extension
-    #: inside ``fdiam``), which pay the word traffic but cannot amortize
-    #: a full eccentricity per lane. Calibrated on the pinned analogs:
-    #: the road-map bound (~121) and even the tendril-stretched
-    #: power-law bound (~28) fall back, while low-diameter cores keep
-    #: their lanes.
-    merged_level_cap: int = 16
     #: Minimum fill of the trailing lane word for a sweep to pay off;
     #: 0.125 = at least 8 of 64 lanes in use.
     lane_min_occupancy: float = 0.125
@@ -132,13 +125,6 @@ class CostModelParams:
     #: Last-level cache size; reordering a graph whose CSR already fits
     #: in cache cannot improve locality, whatever the edge span says.
     llc_bytes: int = 32 * 2**20
-    #: Fixed cost of dispatching one round through the multiprocess
-    #: sweep backend: queue round-trips, the per-round shared output
-    #: segment, and waking the (already warm) workers. The pool and the
-    #: shared CSR are paid once per executor, not per round, so this is
-    #: deliberately small — but a round whose serial BFS work is below
-    #: it should never leave the process.
-    process_overhead_s: float = 5e-3
     #: Largest fraction of the graph a level-capped expansion may be
     #: expected to touch for the block-decoding gather path
     #: (:func:`repro.bfs.topdown.topdown_step_blocks`) to win over the
@@ -169,7 +155,7 @@ class CostModelParams:
             raise AlgorithmError("invalid cost model parameters")
         if self.lane_word_rate <= 0:
             raise AlgorithmError("invalid cost model parameters")
-        if self.hub_skew < 1 or self.lane_level_cap < 1 or self.merged_level_cap < 1:
+        if self.hub_skew < 1 or self.lane_level_cap < 1:
             raise AlgorithmError("invalid cost model parameters")
         if not 0 < self.lane_min_occupancy <= 1:
             raise AlgorithmError("invalid cost model parameters")
@@ -178,8 +164,6 @@ class CostModelParams:
         if min(self.peel_gain, self.collapse_gain, self.reorder_gain) <= 0:
             raise AlgorithmError("invalid cost model parameters")
         if self.llc_bytes < 1:
-            raise AlgorithmError("invalid cost model parameters")
-        if self.process_overhead_s <= 0:
             raise AlgorithmError("invalid cost model parameters")
         if not 0 < self.block_gather_fraction <= 1:
             raise AlgorithmError("invalid cost model parameters")
@@ -325,9 +309,7 @@ class LevelSynchronousCostModel:
         )
         return ReductionGates(peel=peel, collapse=collapse, reorder=reorder)
 
-    def lane_batch_verdict(
-        self, diameter_estimate: int, lanes: int, *, merged: bool = False
-    ) -> tuple[bool, str]:
+    def lane_batch_verdict(self, diameter_estimate: int, lanes: int) -> tuple[bool, str]:
         """:meth:`lane_batch_advisable` plus the *reason* for a veto.
 
         The reason string is what ``--workspace-stats`` and the bench
@@ -336,7 +318,7 @@ class LevelSynchronousCostModel:
         near-empty trailing word), so the vocabulary is small and
         stable: ``"single lane cannot amortize a sweep"``,
         ``"lane occupancy F below minimum M"``, and ``"estimated
-        diameter D exceeds [merged] lane level cap C"``. An advisable
+        diameter D exceeds lane level cap C"``. An advisable
         batch returns ``(True, "")``.
         """
         if lanes <= 1:
@@ -348,29 +330,24 @@ class LevelSynchronousCostModel:
                 f"lane occupancy {occupancy:.3f} below minimum "
                 f"{self.params.lane_min_occupancy:.3f}"
             )
-        cap = self.params.merged_level_cap if merged else self.params.lane_level_cap
+        cap = self.params.lane_level_cap
         if diameter_estimate > cap:
-            kind = "merged lane level cap" if merged else "lane level cap"
             return False, (
-                f"estimated diameter {diameter_estimate} exceeds {kind} {cap}"
+                f"estimated diameter {diameter_estimate} exceeds lane level cap {cap}"
             )
         return True, ""
 
-    def lane_batch_advisable(
-        self, diameter_estimate: int, lanes: int, *, merged: bool = False
-    ) -> bool:
+    def lane_batch_advisable(self, diameter_estimate: int, lanes: int) -> bool:
         """Whether a ``lanes``-source sweep should beat the scalar path.
 
         Two gates, matching the two ways lane sweeps lose in practice:
         the expected level count (``diameter_estimate`` against
-        :attr:`~CostModelParams.lane_level_cap` /
-        :attr:`~CostModelParams.merged_level_cap` for ``merged`` waves),
-        and the fill of the trailing lane word (fewer than
-        ``lane_min_occupancy * 64`` sources per word cannot amortize
-        the per-level sweep overhead). :meth:`lane_batch_verdict` is the
+        :attr:`~CostModelParams.lane_level_cap`), and the fill of the
+        trailing lane word (fewer than ``lane_min_occupancy * 64``
+        sources per word cannot amortize the per-level sweep overhead). :meth:`lane_batch_verdict` is the
         same gate with the veto reason attached.
         """
-        ok, _ = self.lane_batch_verdict(diameter_estimate, lanes, merged=merged)
+        ok, _ = self.lane_batch_verdict(diameter_estimate, lanes)
         return ok
 
     def choose_backend(
@@ -380,40 +357,21 @@ class LevelSynchronousCostModel:
         num_vertices: int,
         num_directed_edges: int,
         max_degree: int,
-        workers: int = 1,
         lanes: int = LANE_WIDTH,
-        shm_ok: bool = True,
     ) -> str:
         """Pick the sweep backend for a fan-out of ``num_sources`` BFS roots.
 
         The method that turns this model from a predictor into a
         dispatcher (it is what ``backend="auto"`` in
-        :func:`repro.parallel.sweep.create_executor` calls). Three-way
-        decision, cheapest structural signals only:
-
-        * ``"multiprocess"`` when the caller brought a team
-          (``workers >= 2``), shared memory works, the round has at
-          least two sources per worker to hand out, and the modeled
-          serial sweep time of the round — ``ceil(k / lanes) * m /
-          edge_rate`` gather passes — exceeds
-          :attr:`~CostModelParams.process_overhead_s` by more than the
-          team could claw back (``serial_s * (1 - 1/workers)``);
-        * else ``"bitparallel"`` when :meth:`lane_batch_advisable` says
-          a lane sweep of ``min(num_sources, lanes)`` sources beats
-          scalar BFS on this structure;
-        * else ``"serial"``.
+        :func:`repro.parallel.sweep.create_executor` calls):
+        ``"bitparallel"`` when :meth:`lane_batch_advisable` says a lane
+        sweep of ``min(num_sources, lanes)`` sources beats scalar BFS on
+        this structure, else ``"serial"``.
         """
         k = max(int(num_sources), 0)
-        m = max(int(num_directed_edges), 0)
-        estimate = self.estimate_diameter(num_vertices, m, max_degree)
+        estimate = self.estimate_diameter(num_vertices, num_directed_edges, max_degree)
         lanes = max(1, min(int(lanes), k if k else 1))
-        use_lanes = self.lane_batch_advisable(estimate, lanes)
-        if workers >= 2 and shm_ok and k >= 2 * workers:
-            passes = ceil(k / lanes) if use_lanes else k
-            serial_s = passes * m / self.params.edge_rate
-            if serial_s * (1.0 - 1.0 / workers) > self.params.process_overhead_s:
-                return "multiprocess"
-        return "bitparallel" if use_lanes else "serial"
+        return "bitparallel" if self.lane_batch_advisable(estimate, lanes) else "serial"
 
     def choose_gather_path(
         self,

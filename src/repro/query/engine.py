@@ -194,11 +194,6 @@ class QueryEngine:
         (:meth:`TraversalKernel.distance_batch`).
     memo_vectors:
         Per-graph cap on memoized distance rows (LRU evicted).
-    workers:
-        Worker processes for the per-graph sweep executor. ``1`` (the
-        default) keeps every sweep in-process on the bitparallel
-        backend; ``> 1`` lets the cost model dispatch batches to a
-        shared-memory pool per registered graph.
     memory_budget:
         Byte budget for decoded adjacency scratch, applied to every
         registered graph's kernel (and threaded into ``diam``
@@ -212,7 +207,6 @@ class QueryEngine:
     max_graphs: int = 4
     batch_lanes: int = 256
     memo_vectors: int = 64
-    workers: int = 1
     memory_budget: int | None = None
     _graphs: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
@@ -223,8 +217,6 @@ class QueryEngine:
             raise AlgorithmError("batch_lanes must be >= 1")
         if self.memo_vectors < 0:
             raise AlgorithmError("memo_vectors must be >= 0")
-        if self.workers < 1:
-            raise AlgorithmError("workers must be >= 1")
         if self.memory_budget is not None and self.memory_budget < 0:
             raise AlgorithmError("memory_budget must be >= 0")
 
@@ -322,22 +314,15 @@ class QueryEngine:
         return self._graphs[key]
 
     def _executor_for(self, entry: _GraphEntry):
-        """The entry's sweep executor, built on first use.
-
-        Single-worker engines pin the ``bitparallel`` backend, which
-        reproduces the pre-executor chunked lane sweeps exactly; with a
-        worker team the cost model dispatches per the graph structure.
-        """
+        """The entry's ``bitparallel`` sweep executor, built on first use."""
         if entry.executor is None:
             entry.executor = entry.kernel.sweep_executor(
-                workers=self.workers,
-                batch_lanes=self.batch_lanes,
-                backend="bitparallel" if self.workers <= 1 else "auto",
+                batch_lanes=self.batch_lanes, backend="bitparallel"
             )
         return entry.executor
 
     def close(self) -> None:
-        """Shut down every registered graph's executor (pools, shm)."""
+        """Release every registered graph's executor."""
         for entry in self._graphs.values():
             entry.close()
 

@@ -22,7 +22,9 @@ run on the scheduler's single dispatch thread (the same thread that
 runs ``QueryEngine`` batches), so the engine's registry and this one
 are mutated from exactly one thread. :meth:`pin`/:meth:`unpin` are
 called from the event loop and guarded by a lock; pinned graphs (ones
-with queries waiting or in flight) are never evicted.
+with queries waiting or in flight) are never evicted. Neither are
+mutated dynamic graphs (epoch > 0): their edits exist only in memory,
+and a reopen from the file would silently serve epoch 0 again.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ class GraphRegistry:
         self._pin_lock = threading.Lock()
         self.opens = 0
         self.evictions = 0
+        #: Times a mutated dynamic graph was passed over as an
+        #: eviction victim (it stays resident over budget).
+        self.mutated_skips = 0
 
     # ------------------------------------------------------------------
     # Specs
@@ -179,24 +184,32 @@ class GraphRegistry:
         self._evict_over_budget(keep=key)
         return resident.graph
 
+    def _mutated(self, key: str) -> bool:
+        graph = self._resident[key].graph
+        return isinstance(graph, DynamicGraph) and graph.epoch > 0
+
     def _evict_over_budget(self, *, keep: str) -> None:
         if self.byte_budget is None:
             return
+        skipped: set[str] = set()
         while self.resident_total > self.byte_budget:
-            victim = next(
-                (
-                    k
-                    for k in self._resident
-                    if k != keep and not self._pinned(k)
-                ),
-                None,
-            )
+            victim = None
+            for k in self._resident:
+                if k == keep or self._pinned(k):
+                    continue
+                if self._mutated(k):
+                    skipped.add(k)
+                    continue
+                victim = k
+                break
             if victim is None:
-                # Everything else is pinned (or this is the only
-                # graph): allow the overshoot — shedding in-flight
-                # work to honor a byte budget would corrupt batches.
-                return
+                # Everything else is pinned or mutated (or this is the
+                # only graph): allow the overshoot — shedding in-flight
+                # work or in-memory edits to honor a byte budget would
+                # corrupt answers.
+                break
             self.evict(victim)
+        self.mutated_skips += len(skipped)
 
     def evict(self, key: str) -> bool:
         """Drop ``key`` from the engine and close its backing store."""
@@ -226,6 +239,7 @@ class GraphRegistry:
             "byte_budget": self.byte_budget,
             "opens": self.opens,
             "evictions": self.evictions,
+            "mutated_skips": self.mutated_skips,
             "graphs": {
                 key: {
                     "resident": key in self._resident,

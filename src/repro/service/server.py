@@ -105,7 +105,6 @@ class QueryService:
         byte_budget: int | None = None,
         memory_budget: int | None = None,
         batch_lanes: int = 256,
-        workers: int = 1,
         memo_vectors: int = 64,
     ):
         self.store = store
@@ -114,7 +113,6 @@ class QueryService:
             max_graphs=_ENGINE_CAPACITY,
             batch_lanes=batch_lanes,
             memo_vectors=memo_vectors,
-            workers=workers,
             memory_budget=memory_budget,
         )
         self.registry = GraphRegistry(self.engine, byte_budget=byte_budget)

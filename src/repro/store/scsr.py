@@ -27,7 +27,7 @@ Three entry points:
 * :func:`load_scsr` — full decode back to a ``CSRGraph`` (storage tag
   ``"scsr:v1"``), digest-verified; with ``mmap=True`` the compressed
   image stays attached as the graph's ``backing_store`` so the kernel
-  and the multiprocess pool can use it.
+  can use it.
 
 Every corruption mode raises :class:`~repro.errors.StoreFormatError`
 with the file and failing region named.
@@ -360,7 +360,7 @@ class CompressedCSR:
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
         cache_bytes: int | None = None,
     ) -> "CompressedCSR":
-        """Parse an in-memory image (e.g. a shared-memory segment)."""
+        """Parse an in-memory image (e.g. the bytes of a ``.scsr`` file)."""
         return cls(
             np.frombuffer(buf, dtype=np.uint8),
             source=source,
@@ -402,13 +402,8 @@ class CompressedCSR:
 
     @property
     def image_nbytes(self) -> int:
-        """Bytes of the compressed image (what shm sharing ships)."""
+        """Bytes of the compressed image."""
         return len(self._image)
-
-    @property
-    def image(self) -> np.ndarray:
-        """The raw ``uint8`` image (read-only view)."""
-        return self._image
 
     @property
     def section_nbytes(self) -> dict[str, int]:
@@ -1030,9 +1025,7 @@ def load_scsr(
     With ``mmap=True`` the compressed image stays memory-mapped and
     attached as the graph's :attr:`~repro.graph.csr.CSRGraph.backing_store`:
     the traversal kernel can then route level-capped expansions through
-    per-block decoding, and :class:`~repro.parallel.shm.SharedCSR`
-    ships the compressed image (not the decoded arrays) to worker
-    processes. With ``mmap=False`` the store is closed after the
+    per-block decoding. With ``mmap=False`` the store is closed after the
     decode and the graph is indistinguishable from any in-memory CSR
     apart from its storage tag.
     """

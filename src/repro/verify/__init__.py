@@ -16,7 +16,7 @@ paper's pruning theorems into machine-checked properties:
   discarded.
 * :mod:`repro.verify.differential` — one fuzz trial: sample a graph,
   run the full config lattice (engines × prep × cache warm/cold ×
-  lanes × QueryEngine) plus two baselines, and report any
+  tip batching × QueryEngine) plus two baselines, and report any
   disagreement on diameter, connectivity flag, eccentricities, or
   per-query distances.
 * :mod:`repro.verify.metamorphic` — relabeling invariance, edge

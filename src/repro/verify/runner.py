@@ -141,22 +141,6 @@ def _shrink_and_record(
     )
 
 
-def _fuzz_trial_worker(task: tuple) -> dict:
-    """Run one seeded trial in a worker process.
-
-    Module-level and returning only primitives so both start methods
-    can ship it; the graph never leaves the worker — a failing seed is
-    deterministically re-run in the parent, which needs the graph and
-    the full disagreement objects for shrinking anyway.
-    """
-    trial_seed, max_vertices = task
-    from repro.generators.registry import build_fuzz_graph
-
-    graph, family = build_fuzz_graph(trial_seed, max_vertices=max_vertices)
-    disagreements = run_trial(graph, _trial_rng(trial_seed))
-    return {"family": family, "failed": bool(disagreements)}
-
-
 def fuzz(
     *,
     seed: int = 0,
@@ -166,29 +150,17 @@ def fuzz(
     artifact_dir: str | Path | None = None,
     shrink: bool = True,
     max_failures: int = 5,
-    workers: int = 1,
-    start_method: str | None = None,
     progress=None,
 ) -> FuzzResult:
     """Run a differential fuzz campaign; stop on budget or trial count.
 
     ``budget`` is wall-clock seconds; the loop checks it between
-    trials (between *rounds* when ``workers > 1``), so in-flight work
-    may overshoot slightly. ``max_trials`` (when given) caps the number
-    of trials regardless of remaining budget. The campaign stops early
-    once ``max_failures`` distinct failing trials have been minimized —
-    by then the signal is "the build is broken", not "find more
-    examples". ``progress`` is an optional callable receiving one
-    status line per trial.
-
-    ``workers > 1`` fans rounds of ``2 * workers`` trials out over a
-    process pool (:func:`repro.parallel.sweep.process_map`) — trials
-    are independent by construction, so this is the verify layer's own
-    embarrassingly-parallel sweep level. The trial-seed sequence is
-    identical to the serial campaign's, and each failing seed is
-    deterministically re-run in the parent (seeded trials reproduce
-    exactly) before shrinking, so campaign results do not depend on the
-    worker count; only the number of trials a given budget affords does.
+    trials, so an in-flight trial may overshoot slightly. ``max_trials``
+    (when given) caps the number of trials regardless of remaining
+    budget. The campaign stops early once ``max_failures`` distinct
+    failing trials have been minimized — by then the signal is "the
+    build is broken", not "find more examples". ``progress`` is an
+    optional callable receiving one status line per trial.
     """
     from repro.generators.registry import build_fuzz_graph
 
@@ -203,52 +175,28 @@ def fuzz(
             break
         if len(result.failures) >= max_failures:
             break
-        round_size = 1
-        if workers > 1:
-            round_size = 2 * workers
-            if max_trials is not None:
-                round_size = min(round_size, max_trials - trial)
-        round_seeds = [
-            seed + (trial + i) * _TRIAL_STRIDE for i in range(round_size)
-        ]
-        if workers > 1:
-            from repro.parallel.sweep import process_map
-
-            outcomes = process_map(
-                _fuzz_trial_worker,
-                [(ts, max_vertices) for ts in round_seeds],
-                workers=workers,
-                start_method=start_method,
+        trial_seed = seed + trial * _TRIAL_STRIDE
+        graph, family = build_fuzz_graph(trial_seed, max_vertices=max_vertices)
+        result.families[family] = result.families.get(family, 0) + 1
+        disagreements = run_trial(graph, _trial_rng(trial_seed))
+        if disagreements:
+            failure = _shrink_and_record(
+                graph,
+                family,
+                trial_seed,
+                disagreements,
+                shrink=shrink,
+                artifact_dir=artifact_dir,
             )
-        else:
-            outcomes = [_fuzz_trial_worker((round_seeds[0], max_vertices))]
-        for trial_seed, outcome in zip(round_seeds, outcomes):
-            family = outcome["family"]
-            result.families[family] = result.families.get(family, 0) + 1
-            if outcome["failed"] and len(result.failures) < max_failures:
-                # Reproduce in the parent: seeded trials are exact
-                # replays, and shrinking needs the graph plus the full
-                # disagreement objects the worker did not ship back.
-                graph, _ = build_fuzz_graph(trial_seed, max_vertices=max_vertices)
-                disagreements = run_trial(graph, _trial_rng(trial_seed))
-                if disagreements:
-                    failure = _shrink_and_record(
-                        graph,
-                        family,
-                        trial_seed,
-                        disagreements,
-                        shrink=shrink,
-                        artifact_dir=artifact_dir,
-                    )
-                    result.failures.append(failure)
-                    if progress is not None:
-                        progress(f"FAIL {failure}")
-            elif progress is not None and trial % 25 == 0:
-                progress(
-                    f"trial {trial} ok ({family}, "
-                    f"{time.monotonic() - started:.1f}s elapsed)"
-                )
-            trial += 1
+            result.failures.append(failure)
+            if progress is not None:
+                progress(f"FAIL {failure}")
+        elif progress is not None and trial % 25 == 0:
+            progress(
+                f"trial {trial} ok ({family}, "
+                f"{time.monotonic() - started:.1f}s elapsed)"
+            )
+        trial += 1
     result.trials = trial
     result.elapsed = time.monotonic() - started
     return result

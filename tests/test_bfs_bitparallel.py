@@ -3,8 +3,7 @@
 Covers the primitive (``segmented_or``), the lane sweep against the
 scalar reference oracle across awkward lane counts (1, 63, 64, 65,
 130 — one bit, a nearly-full word, exactly one word, word + 1 bit, and
-three words), merged-mode equality with the scalar multi-source wave
-(including winnow-style resumed boolean marks), the routed consumers
+three words), the routed consumers
 (``all_eccentricities``, the eccentricity spectrum, SumSweep and
 Takes–Kosters), the workspace lane-buffer pool, and the headline
 edge-gather saving on a power-law graph.
@@ -29,7 +28,6 @@ from repro.bfs.eccentricity import all_eccentricities
 from repro.bfs.kernel import TraversalKernel, Workspace
 from repro.bfs.reference import serial_distances
 from repro.core.extremes import eccentricity_spectrum
-from repro.core.winnow import _BoolMarks
 from repro.errors import AlgorithmError
 from repro.generators import barabasi_albert, path_graph, watts_strogatz
 from repro.graph import from_edges
@@ -143,44 +141,6 @@ class TestLaneSweepVsSerial:
             np.testing.assert_array_equal(dist[j], ref)
 
 
-class TestMergedMode:
-    def test_levels_match_scalar_wave(self):
-        g = random_graph(120, 260, seed=3)
-        lanes_kernel = TraversalKernel(g, batch_lanes=64)
-        plain_kernel = TraversalKernel(g)
-        for sources in ([0], [5, 9, 40], list(range(70))):
-            a = lanes_kernel.levels(sources, 5)
-            b = plain_kernel.levels(sources, 5)
-            assert len(a) == len(b)
-            for la, lb in zip(a, b):
-                np.testing.assert_array_equal(np.sort(la), np.sort(lb))
-
-    def test_resumed_bool_marks(self):
-        # The winnow-resume pattern: a persistent boolean ball expanded
-        # in two increments, pre-visited vertices never rediscovered.
-        g = path_graph(12)
-        for batch_lanes in (0, 64):
-            kernel = TraversalKernel(g, batch_lanes=batch_lanes)
-            visited = np.zeros(12, dtype=bool)
-            visited[[5, 6]] = True
-            first = kernel.levels(
-                [5, 6], 2, marks=_BoolMarks(visited), new_epoch=False,
-                mark_sources=False,
-            )
-            assert [lv.tolist() for lv in first] == [[4, 7], [3, 8]]
-            second = kernel.levels(
-                first[-1], 2, marks=_BoolMarks(visited), new_epoch=False,
-                mark_sources=False,
-            )
-            assert [lv.tolist() for lv in second] == [[2, 9], [1, 10]]
-
-    def test_on_level_early_stop(self):
-        g = path_graph(10)
-        kernel = TraversalKernel(g, batch_lanes=64)
-        levels = kernel.levels([0], None, on_level=lambda depth, fresh: depth < 2)
-        assert len(levels) == 2
-
-
 class TestRoutedConsumers:
     def test_bitparallel_engine_registered(self):
         assert "bitparallel" in available_engines()
@@ -211,19 +171,11 @@ class TestRoutedConsumers:
         for fn in (sumsweep_diameter, bounding_diameters):
             assert fn(g, batch_lanes=64).diameter == fn(g).diameter
 
-    def test_fdiam_with_lanes(self):
-        from repro.core.config import FDiamConfig
-        from repro.core.fdiam import fdiam
-
-        g = barabasi_albert(150, 2, seed=6)
-        ref = fdiam(g).diameter
-        assert fdiam(g, config=FDiamConfig(bfs_batch_lanes=64)).diameter == ref
-
 
 class TestLanePool:
     def test_reuse_hits(self):
         g = barabasi_albert(100, 2, seed=1)
-        kernel = TraversalKernel(g, batch_lanes=64)
+        kernel = TraversalKernel(g)
         for _ in range(4):
             kernel.levels_batched64([0, 5, 9])
         stats = kernel.workspace.stats

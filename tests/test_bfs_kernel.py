@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_gnp
 from repro.bfs import TraversalKernel, VisitMarks, Workspace, run_bfs
+from repro.core.winnow import _BoolMarks
 from repro.errors import AlgorithmError, BenchmarkTimeout
 from repro.generators import path_graph, star_graph
 
@@ -132,6 +133,30 @@ class TestKernelBFS:
         assert kernel.ball(0, 1).tolist() == list(range(7))
         assert kernel.ball(3, 1).tolist() == [0, 3]
         assert kernel.ball(3, 1, include_center=False).tolist() == [0]
+
+
+class TestLevels:
+    def test_resumed_bool_marks(self):
+        # The winnow-resume pattern: a persistent boolean ball expanded
+        # in two increments, pre-visited vertices never rediscovered.
+        kernel = TraversalKernel(path_graph(12))
+        visited = np.zeros(12, dtype=bool)
+        visited[[5, 6]] = True
+        first = kernel.levels(
+            [5, 6], 2, marks=_BoolMarks(visited), new_epoch=False,
+            mark_sources=False,
+        )
+        assert [lv.tolist() for lv in first] == [[4, 7], [3, 8]]
+        second = kernel.levels(
+            first[-1], 2, marks=_BoolMarks(visited), new_epoch=False,
+            mark_sources=False,
+        )
+        assert [lv.tolist() for lv in second] == [[2, 9], [1, 10]]
+
+    def test_on_level_early_stop(self):
+        kernel = TraversalKernel(path_graph(10))
+        levels = kernel.levels([0], None, on_level=lambda depth, fresh: depth < 2)
+        assert len(levels) == 2
 
 
 class TestBatchedEngine:

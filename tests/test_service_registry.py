@@ -117,3 +117,32 @@ class TestLRU:
         # The caller's graph object must still be usable.
         assert graph.num_vertices == 64
         assert graph.indptr[-1] == graph.indices.shape[0]
+
+
+class TestMutatedResidency:
+    def test_mutated_dynamic_graph_survives_budget(self, engine, tmp_path):
+        # A mutated dynamic graph's edits live only in memory: evicting
+        # it would reopen the file at epoch 0 and lose them.
+        registry = GraphRegistry(engine, byte_budget=1)
+        for i, key in enumerate("ab"):
+            path = str(tmp_path / f"{key}.npz")
+            save_npz(from_networkx(nx.path_graph(20 + i)), path, compressed=False)
+            registry.register(key, path=path, dynamic=True)
+
+        registry.ensure("a")
+        engine.mutate("a", inserts=[(0, 19)])
+        assert engine.graph_epoch("a") == 1
+        registry.ensure("b")
+        snap = registry.snapshot()
+        assert snap["graphs"]["a"]["resident"]
+        assert snap["mutated_skips"] == 1
+        registry.ensure("a")
+        assert engine.graph_epoch("a") == 1
+        # The 20-path closed into a 20-cycle, not the file's path.
+        assert engine.run("a", ["diam"])[0] == [10]
+        assert registry.opens == 2
+
+        # An unmutated dynamic graph is still an ordinary victim.
+        registry.ensure("b")
+        registry.ensure("a")
+        assert not registry.snapshot()["graphs"]["b"]["resident"]

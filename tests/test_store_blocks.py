@@ -173,54 +173,6 @@ class TestKernelBlockPath:
             graph.backing_store.close()
 
 
-class TestCompressedImageSharing:
-    def test_shared_csr_ships_the_image(self, analog, stored):
-        """With an attached store whose image beats the decoded arrays,
-        SharedCSR places the compressed image in the segment and a
-        worker-side attach decodes a bit-identical graph."""
-        from repro.parallel.shm import SharedCSR
-
-        graph = load_scsr(stored, mmap=True)
-        decoded = graph.indptr.nbytes + graph.indices.nbytes
-        try:
-            with SharedCSR(graph) as shared:
-                assert shared.spec.get("kind") == "scsr"
-                assert shared.nbytes < decoded
-                rebuilt, seg = SharedCSR.attach(shared.spec)
-                try:
-                    assert rebuilt.name == graph.name
-                    assert np.array_equal(rebuilt.indptr, graph.indptr)
-                    assert np.array_equal(rebuilt.indices, graph.indices)
-                finally:
-                    seg.close()
-        finally:
-            graph.backing_store.close()
-
-    def test_plain_graph_still_ships_decoded_arrays(self, analog):
-        from repro.parallel.shm import SharedCSR
-
-        with SharedCSR(analog) as shared:
-            assert "kind" not in shared.spec
-
-    def test_multiprocess_sweep_identical_over_the_image(
-        self, analog, stored
-    ):
-        from repro.parallel.sweep import create_executor
-
-        graph = load_scsr(stored, mmap=True)
-        sources = np.arange(0, analog.num_vertices, 997, dtype=np.int64)
-        try:
-            with create_executor(analog, backend="bitparallel") as ref_ex:
-                ref, _ = ref_ex.distance_rows(sources)
-            with create_executor(
-                graph, workers=2, backend="multiprocess"
-            ) as mp_ex:
-                got, info = mp_ex.distance_rows(sources)
-            assert np.array_equal(got, ref)
-        finally:
-            graph.backing_store.close()
-
-
 class TestGatherPathCostModel:
     def test_uncapped_expansion_stays_decoded(self):
         model = LevelSynchronousCostModel()

@@ -43,12 +43,11 @@ class TestTrialCleanliness:
 
     def test_lattice_covers_every_axis(self):
         labels = {label for label, _config in CONFIG_LATTICE}
-        # Engines, prep, lanes, order, and each ablation must all appear.
+        # Engines, prep, order, and each ablation must all appear.
         for expected in (
             "fdiam/ser",
             "fdiam/bitparallel",
             "fdiam/par+prep",
-            "fdiam/par+lanes",
             "fdiam/random-order",
             "fdiam/no-winnow",
             "fdiam/no-elim",
@@ -58,7 +57,6 @@ class TestTrialCleanliness:
         configs = [config for _label, config in CONFIG_LATTICE]
         assert any(not c.use_winnow for c in configs)
         assert any(c.prep != "off" for c in configs)
-        assert any(c.bfs_batch_lanes > 0 for c in configs)
 
     def test_trial_detects_injected_fault(self):
         # A trial (not just a bare fdiam call) must surface the fault
