@@ -52,7 +52,6 @@ from repro.core.fdiam import fdiam  # noqa: E402
 from repro.bfs.kernel import TraversalKernel  # noqa: E402
 from repro.graph.io import save_npz  # noqa: E402
 from repro.harness.workloads import get_workload  # noqa: E402
-from repro.parallel.costmodel import LevelSynchronousCostModel  # noqa: E402
 from repro.prep.reorder import ORDER_STRATEGIES, apply_order  # noqa: E402
 from repro.query import QueryEngine  # noqa: E402
 from repro.store import load_scsr, save_scsr  # noqa: E402
@@ -280,7 +279,7 @@ def _stage_store_compress(graph, repeats):
 def _stage_fdiam_scsr(graph, repeats):
     """fdiam plus a 256-query batch answered straight off the store.
 
-    Each timed run re-opens the ``.scsr`` image (mmap), so the measured
+    Each timed run re-opens the ``.scsr`` image, so the measured
     wall includes the full decode the solver pays when working from
     disk; ``run_suite`` pairs it against the in-memory ``fdiam`` +
     ``query_batch`` stages as ``wall_ratio_vs_memory`` (the ISSUE's
@@ -298,15 +297,10 @@ def _stage_fdiam_scsr(graph, repeats):
         save_scsr(graph, path)
 
         def run():
-            loaded = load_scsr(path, mmap=True)
-            try:
-                res = fdiam(loaded)
-                engine = QueryEngine(batch_lanes=256)
-                _answers, stats = engine.run(
-                    engine.add_graph(loaded), queries
-                )
-            finally:
-                loaded.backing_store.close()
+            loaded = load_scsr(path)
+            res = fdiam(loaded)
+            engine = QueryEngine(batch_lanes=256)
+            _answers, stats = engine.run(engine.add_graph(loaded), queries)
             return res, stats
 
         wall, (res, stats) = _timed(run, repeats)
@@ -415,10 +409,9 @@ def _peak_rss_mb() -> float | None:
 
 
 #: The 10^7-edge out-of-core tier: pinned chunk size for the streaming
-#: encoder and pinned budget points for the budgeted-execution battery.
+#: encoder.
 SCALE_GRAPHS = ("road-10M", "powerlaw-10M")
 SCALE_CHUNK_EDGES = 1 << 20
-SCALE_BATTERY_SOURCES = 3
 
 
 def _scale_store_stream_encode(graph):
@@ -474,118 +467,6 @@ def _scale_store_stream_encode(graph):
         ),
         "byte_identical": True,
     }
-
-
-def _scale_fdiam_budgeted(graph):
-    """Memory-budgeted traversal battery on a 10^7-edge analog.
-
-    A full budget-mode ``fdiam`` at this scale is wall-prohibitive
-    (hundreds of budgeted sweeps), so the stage measures what the
-    budget actually changes — the kernel's gather path — with a pinned
-    eccentricity battery (the unit fdiam repeats ~100x): the same
-    sources run in-memory and then against the mapped store at three
-    budget points spanning the routing regimes. Every run must report
-    bit-identical eccentricities; at the extreme budgets the forced
-    alternative mode is also timed and the cost model's choice must be
-    the fastest measured (15% headroom absorbs timer noise).
-    """
-    sources = [
-        (k * graph.num_vertices) // SCALE_BATTERY_SOURCES
-        for k in range(SCALE_BATTERY_SOURCES)
-    ]
-
-    def battery(kernel):
-        t0 = time.perf_counter()
-        eccs = [kernel.bfs(s).eccentricity for s in sources]
-        return time.perf_counter() - t0, eccs
-
-    wall_memory, eccs_memory = battery(TraversalKernel(graph))
-    out = {
-        "battery_sources": sources,
-        "eccentricity": max(eccs_memory),
-        "wall_memory_s": wall_memory,
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.scsr"
-        save_scsr(graph, path, chunk_edges=SCALE_CHUNK_EDGES)
-        probe = load_scsr(path, mmap=True)
-        decoded = probe.indptr.nbytes + probe.indices.nbytes
-        probe.backing_store.close()
-        out["decoded_bytes"] = decoded
-        out["decoded_bytes_per_edge"] = round(
-            decoded / max(graph.num_edges, 1), 3
-        )
-        points = (
-            ("ample", 4 * decoded),
-            ("quarter", decoded // 4),
-            ("floor", 1 << 16),
-        )
-        model = LevelSynchronousCostModel()
-        for label, budget in points:
-            mode, reason = model.choose_memory_mode(
-                decoded_bytes=decoded, budget_bytes=budget
-            )
-            # Fresh mapping per point: no cache or counter carry-over.
-            loaded = load_scsr(path, mmap=True)
-            try:
-                kernel = TraversalKernel(loaded, memory_budget=budget)
-                if kernel.memory_mode != mode:
-                    raise AssertionError(
-                        f"{graph.name}: kernel resolved "
-                        f"{kernel.memory_mode!r} at budget {budget:,} B, "
-                        f"cost model chose {mode!r}"
-                    )
-                wall, eccs = battery(kernel)
-                stats = loaded.backing_store.stats
-                out[f"budget_{label}_bytes"] = budget
-                out[f"budget_{label}_mode"] = mode
-                out[f"budget_{label}_mode_reason"] = reason
-                out[f"budget_{label}_wall_s"] = wall
-                out[f"budget_{label}_wall_ratio_vs_memory"] = round(
-                    wall / max(wall_memory, 1e-9), 3
-                )
-                out[f"budget_{label}_thrash_rate"] = round(
-                    stats.thrash_rate, 4
-                )
-                out[f"budget_{label}_decode_mb_s"] = round(
-                    stats.decode_bandwidth / 2**20, 1
-                )
-                if eccs != eccs_memory:
-                    raise AssertionError(
-                        f"{graph.name}: budget {budget:,} B ({mode}) "
-                        f"eccentricities {eccs} != in-memory {eccs_memory}"
-                    )
-                # Extreme budgets: force the block mode the model did
-                # NOT choose, so its pick is checked against a measured
-                # alternative (decode's superiority needs no contest).
-                if label in ("ample", "floor"):
-                    alt = "stream" if mode == "cached" else "cached"
-                    forced = load_scsr(path, mmap=True)
-                    try:
-                        fkernel = TraversalKernel(
-                            forced,
-                            memory_budget=budget,
-                            memory_mode=alt,
-                        )
-                        fwall, feccs = battery(fkernel)
-                    finally:
-                        forced.backing_store.close()
-                    if feccs != eccs_memory:
-                        raise AssertionError(
-                            f"{graph.name}: forced {alt} at budget "
-                            f"{budget:,} B diverged: {feccs}"
-                        )
-                    out[f"budget_{label}_forced_{alt}_wall_s"] = fwall
-                    if wall > fwall * 1.15:
-                        raise AssertionError(
-                            f"{graph.name}: cost model chose {mode!r} at "
-                            f"budget {budget:,} B but forced {alt} ran "
-                            f"{fwall:.2f}s vs {wall:.2f}s"
-                        )
-            finally:
-                loaded.backing_store.close()
-    out["wall_s"] = out["budget_quarter_wall_s"]
-    return out
 
 
 STAGES = {
@@ -675,10 +556,8 @@ def run_suite(
             )
     if not smoke and graphs is None:
         # The 10^7-edge out-of-core tier: streaming-encode both scale
-        # analogs, then the budgeted-execution battery on the
-        # small-diameter one (road's ~1300-level sweeps would measure
-        # Python level overhead, not the memory modes).  Skipped when an
-        # explicit graph list is given — that means "just these graphs".
+        # analogs.  Skipped when an explicit graph list is given — that
+        # means "just these graphs".
         for name in SCALE_GRAPHS:
             workload = get_workload(name)
             graph = workload.graph
@@ -691,12 +570,6 @@ def run_suite(
             record = _scale_store_stream_encode(graph)
             record["peak_rss_mb"] = _peak_rss_mb()
             snapshot["stages"][key] = record
-            if name == "powerlaw-10M":
-                key = f"{name}/fdiam_budgeted"
-                print(f"  running {key} ...", flush=True)
-                record = _scale_fdiam_budgeted(graph)
-                record["peak_rss_mb"] = _peak_rss_mb()
-                snapshot["stages"][key] = record
     return snapshot
 
 
@@ -810,67 +683,6 @@ def bytes_per_edge_check(
         f"BYTES-PER-EDGE-CHECK FAIL: {line} — need >= {min_ratio}x",
         file=sys.stderr,
     )
-    return 1
-
-
-def out_of_core_check(graph_name: str = "road-1M") -> int:
-    """CI gate for budgeted execution (``--out-of-core-check``).
-
-    Solves the million-vertex road analog in memory, BFS-reorders it
-    (the locality pass every out-of-core pipeline runs before writing
-    a block store), saves the ``.scsr`` image with the streaming
-    encoder, and re-solves against the mapped image with the block
-    cache capped to 1/8 of the image — far below the decoded size, so
-    the kernel runs in a budget mode end to end. The gate fails unless
-    the budgeted run lands in a budget mode, its diameter matches the
-    in-memory answer exactly, and the cache never grew past its cap.
-    """
-    graph = get_workload(graph_name).graph
-    mem = fdiam(graph, FDiamConfig(prep="auto"))
-    ordered = apply_order(
-        graph, ORDER_STRATEGIES["bfs"](graph), name=graph.name
-    ).graph
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.scsr"
-        info = save_scsr(
-            ordered, path, chunk_edges=SCALE_CHUNK_EDGES,
-            provenance="reorder=bfs",
-        )
-        budget = info.nbytes // 8
-        loaded = load_scsr(path, mmap=True)
-        try:
-            t0 = time.perf_counter()
-            res = fdiam(
-                loaded, FDiamConfig(prep="auto", memory_budget=budget)
-            )
-            wall = time.perf_counter() - t0
-            store = loaded.backing_store
-            mode, _ = LevelSynchronousCostModel().choose_memory_mode(
-                decoded_bytes=loaded.indptr.nbytes + loaded.indices.nbytes,
-                budget_bytes=budget,
-            )
-            resident = store.cache_resident_bytes
-            stats = store.stats
-            line = (
-                f"{graph_name}: budget {budget:,} B (1/8 of "
-                f"{info.nbytes:,} B image), mode {mode}, diameter "
-                f"{res.diameter} vs in-memory {mem.diameter}, "
-                f"{wall:.1f}s, hit rate {stats.hit_rate:.2f}, thrash "
-                f"{stats.thrash_rate:.2f}, resident {resident:,} B"
-            )
-        finally:
-            loaded.backing_store.close()
-    ok = (
-        mode in ("cached", "stream")
-        and res.diameter == mem.diameter
-        # The decode path may overshoot by the one just-inserted entry
-        # (a block bigger than the whole budget must stay servable).
-        and resident <= 2 * budget
-    )
-    if ok:
-        print(f"out-of-core-check OK: {line}")
-        return 0
-    print(f"OUT-OF-CORE-CHECK FAIL: {line}", file=sys.stderr)
     return 1
 
 
@@ -990,13 +802,6 @@ def main(argv=None) -> int:
         "after bfs reorder; no snapshot written)",
     )
     parser.add_argument(
-        "--out-of-core-check",
-        action="store_true",
-        help="budgeted-execution assertion on the million-vertex road "
-        "analog only (block cache capped to 1/8 of the image; budgeted "
-        "diameter must match in-memory; no snapshot written)",
-    )
-    parser.add_argument(
         "--service-check",
         action="store_true",
         help="coalescing-service assertion only: 200 queries from 64 "
@@ -1020,8 +825,6 @@ def main(argv=None) -> int:
         return warm_check(SMOKE_GRAPHS if args.smoke else FULL_GRAPHS)
     if args.bytes_per_edge_check:
         return bytes_per_edge_check()
-    if args.out_of_core_check:
-        return out_of_core_check()
 
     date = args.date or _dt.date.today().isoformat()
     print(f"benchmark regression suite ({'smoke' if args.smoke else 'full'}) ...")

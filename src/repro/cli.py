@@ -126,21 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mmap",
         action="store_true",
-        help="memory-map the graph file instead of reading it into memory: "
-        ".npz maps the raw arrays (uncompressed archives only), .scsr "
-        "maps the compressed image and keeps it attached for block-"
-        "decoding gathers and compressed-image process sharing",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="byte budget for decoded adjacency scratch on .scsr graphs "
-        "loaded with --mmap: under pressure the traversal routes every "
-        "expansion through block decoding with the store's cache capped "
-        "at this size (the answer is bit-identical; only wall time and "
-        "resident bytes change). Default: unbounded",
+        help="memory-map the raw CSR arrays of a .npz graph file "
+        "(uncompressed archives only) instead of reading them into "
+        "memory; other formats ignore it",
     )
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
@@ -411,14 +399,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="per-graph decoded-adjacency budget for .scsr graphs "
-        "served via --mmap (block-decode routing; see repro --help)",
-    )
-    parser.add_argument(
         "--batch-lanes",
         type=int,
         default=256,
@@ -435,8 +415,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-mmap",
         action="store_true",
-        help="read graphs fully into memory instead of memory-mapping "
-        "binary containers",
+        help="read .npz graphs fully into memory instead of memory-mapping "
+        "their CSR arrays",
     )
     parser.add_argument(
         "--mutable",
@@ -476,7 +456,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         store=store,
         config=config,
         byte_budget=args.resident_budget,
-        memory_budget=args.memory_budget,
         batch_lanes=args.batch_lanes,
     )
     for spec in args.graphs:
@@ -747,9 +726,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.bfs_batch_lanes < 0:
         print("error: --bfs-batch-lanes must be >= 0", file=sys.stderr)
         return 2
-    if args.memory_budget is not None and args.memory_budget < 0:
-        print("error: --memory-budget must be >= 0", file=sys.stderr)
-        return 2
     try:
         graph = read_graph(args.graph, mmap=args.mmap)
     except (ReproError, OSError) as exc:
@@ -769,7 +745,6 @@ def main(argv: list[str] | None = None) -> int:
         use_chain=not args.no_chain,
         use_max_degree_start=not args.start_vertex_zero,
         prep=args.prep,
-        memory_budget=args.memory_budget,
     )
     store = None
     cache_info = None
@@ -866,27 +841,6 @@ def main(argv: list[str] | None = None) -> int:
                       f"requests ({100 * ws.lane_hit_rate:.1f}% hit rate), "
                       f"{ws.lane_words_allocated:,} words allocated "
                       f"({format_bytes(8 * ws.lane_words_allocated)})")
-            if ws.store_block_requests:
-                print(f"store blocks   : {ws.store_block_hits}/"
-                      f"{ws.store_block_requests} requests "
-                      f"({100 * ws.store_block_hit_rate:.1f}% cache hit "
-                      f"rate), {ws.store_blocks_decoded:,} decoded "
-                      f"({format_bytes(ws.store_decoded_bytes)}, "
-                      f"{ws.store_block_evictions:,} evictions)")
-                if ws.store_blocks_decoded:
-                    thrash = (
-                        ws.store_redecoded_blocks / ws.store_blocks_decoded
-                    )
-                    bandwidth = (
-                        ws.store_decoded_bytes / ws.store_decode_seconds
-                        if ws.store_decode_seconds > 0
-                        else 0.0
-                    )
-                    print(f"store decode   : "
-                          f"{ws.store_redecoded_blocks:,} re-decodes "
-                          f"({100 * thrash:.1f}% thrash), "
-                          f"{format_bytes(int(bandwidth))}/s decode "
-                          "bandwidth")
 
     if args.spectrum:
         if store is not None:

@@ -76,23 +76,6 @@ class FDiamConfig:
         picks stages explicitly — see
         :class:`repro.prep.plan.PrepSpec`. Exactness-preserving: the
         returned diameter is identical with any value.
-    memory_budget:
-        Byte budget for decoded adjacency scratch when the graph is
-        backed by a block-compressed ``.scsr`` store (loaded with
-        ``mmap=True``). ``None`` (the default) means unbounded: the
-        kernel traverses the fully decoded CSR. With a budget, the
-        traversal kernel asks the cost model's memory-pressure verdict
-        (:meth:`~repro.parallel.costmodel.LevelSynchronousCostModel.choose_memory_mode`)
-        whether the decoded image fits; under pressure it routes every
-        expansion through per-block decoding with the store's block
-        cache capped at this many bytes (or pure streaming decode when
-        even a useful cache does not fit). Exactness-preserving: the
-        diameter and eccentricities are bit-identical with any value.
-    memory_mode:
-        Override for the memory-pressure routing: ``"auto"`` (default)
-        lets the cost model decide from ``memory_budget``; ``"decode"``,
-        ``"cached"`` and ``"stream"`` force one mode (the latter two
-        require a store-backed graph).
     verify:
         Attach the invariant oracle of :mod:`repro.verify` to the run:
         reference BFS distances are precomputed up front and every
@@ -116,8 +99,6 @@ class FDiamConfig:
     keep_traces: bool = False
     chain_tip_batch: bool = False
     prep: str = "off"
-    memory_budget: int | None = None
-    memory_mode: str = "auto"
     verify: bool = False
 
     def ablate(self, **changes: object) -> "FDiamConfig":

@@ -90,8 +90,6 @@ class FDiamState:
             threshold=config.threshold,
             directions=config.directions,
             deadline=deadline,
-            memory_budget=config.memory_budget,
-            memory_mode=config.memory_mode,
         )
         #: Shared visit counter (the paper's ``counter`` parameter) —
         #: an alias of the kernel workspace's marks.

@@ -210,22 +210,7 @@ class CSRGraph:
         )
         if self._adj_lists is not None:
             object.__setattr__(copy, "_adj_lists", self._adj_lists)
-        backing = self.backing_store
-        if backing is not None:
-            object.__setattr__(copy, "_backing", backing)
         return copy
-
-    @property
-    def backing_store(self):
-        """The open compressed container behind this graph, if any.
-
-        ``.scsr`` loads with ``mmap=True`` attach their
-        :class:`~repro.store.CompressedCSR` here (via
-        ``object.__setattr__`` — derived state, like the adjacency-list
-        cache) so the traversal kernel can route partial expansions
-        through per-block decoding. ``None`` for every other graph.
-        """
-        return getattr(self, "_backing", None)
 
     def memory_bytes(self) -> int:
         """Bytes held by the CSR arrays (useful in benchmark reports)."""

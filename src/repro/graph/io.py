@@ -576,12 +576,10 @@ def read_graph(
 ) -> CSRGraph:
     """Read a graph, choosing the format from the file extension.
 
-    ``mmap`` applies to the binary containers and dispatches on the
-    format: for ``.npz`` it memory-maps the CSR arrays (see
-    :func:`load_npz`); for ``.scsr`` it memory-maps the *compressed*
-    image and keeps it attached as the graph's backing store (see
-    :func:`repro.store.load_scsr`). Text formats always parse into
-    memory.
+    ``mmap`` applies to ``.npz`` only, whose CSR arrays it memory-maps
+    (see :func:`load_npz`). A ``.scsr`` image is always decoded in
+    full (see :func:`repro.store.load_scsr`), and text formats always
+    parse into memory.
     """
     suffix = Path(path).suffix.lower()
     if suffix == ".npz":
@@ -590,7 +588,7 @@ def read_graph(
         # Call-time import: the store package sits above graph/io.
         from repro.store import load_scsr
 
-        return load_scsr(path, mmap=mmap)
+        return load_scsr(path)
     reader = _READERS.get(suffix)
     if reader is None:
         raise GraphFormatError(

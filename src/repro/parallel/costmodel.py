@@ -125,30 +125,6 @@ class CostModelParams:
     #: Last-level cache size; reordering a graph whose CSR already fits
     #: in cache cannot improve locality, whatever the edge span says.
     llc_bytes: int = 32 * 2**20
-    #: Largest fraction of the graph a level-capped expansion may be
-    #: expected to touch for the block-decoding gather path
-    #: (:func:`repro.bfs.topdown.topdown_step_blocks`) to win over the
-    #: decoded-array gather. Varint-decoding a block costs roughly an
-    #: order of magnitude more per arc than slicing the decoded
-    #: ``indices``, but it touches only the frontier's blocks — so it
-    #: pays exactly when the expansion stays tiny (Eliminate probes,
-    #: Winnow balls, ``ball()`` queries) and the full decoded arrays
-    #: would be dragged through cache for a handful of rows.
-    block_gather_fraction: float = 0.05
-    #: Smallest fraction of the decoded image a byte-denominated block
-    #: cache must be able to hold for cached block gathers to beat pure
-    #: streaming. Measured far lower than intuition suggests: on
-    #: powerlaw-10M a 64 KiB cache (1/1480 of the image) still beat
-    #: zero retention 1.4x, because the LRU keeps at least the last
-    #: block resident and hub blocks are requested by almost every
-    #: frontier. Only a budget too small to matter at all (the cache
-    #: churns before even a hub block is revisited) should stream.
-    cache_min_fraction: float = 1.0 / 16384.0
-    #: Multiplier the full decoded image must fit under the memory
-    #: budget by for the full ``to_graph()`` decode to be chosen: the
-    #: decode transient (varint values + delta scratch) briefly needs
-    #: more than the final arrays.
-    decode_headroom: float = 1.5
 
     def __post_init__(self) -> None:
         if self.edge_rate <= 0 or self.chunk_size < 1 or self.bandwidth_threads < 1:
@@ -164,12 +140,6 @@ class CostModelParams:
         if min(self.peel_gain, self.collapse_gain, self.reorder_gain) <= 0:
             raise AlgorithmError("invalid cost model parameters")
         if self.llc_bytes < 1:
-            raise AlgorithmError("invalid cost model parameters")
-        if not 0 < self.block_gather_fraction <= 1:
-            raise AlgorithmError("invalid cost model parameters")
-        if not 0 < self.cache_min_fraction <= 1:
-            raise AlgorithmError("invalid cost model parameters")
-        if self.decode_headroom < 1:
             raise AlgorithmError("invalid cost model parameters")
 
 
@@ -372,93 +342,6 @@ class LevelSynchronousCostModel:
         estimate = self.estimate_diameter(num_vertices, num_directed_edges, max_degree)
         lanes = max(1, min(int(lanes), k if k else 1))
         return "bitparallel" if self.lane_batch_advisable(estimate, lanes) else "serial"
-
-    def choose_gather_path(
-        self,
-        *,
-        num_sources: int,
-        max_level: int | None,
-        num_vertices: int,
-        num_directed_edges: int,
-    ) -> tuple[str, str]:
-        """Pick the gather path for one multi-source level expansion.
-
-        Returns ``("blocks" | "decoded", reason)`` — the verdict the
-        traversal kernel consults when its graph carries an open
-        compressed store (``block_gather="auto"``). Same reason-string
-        contract as :meth:`lane_batch_verdict`: a small stable
-        vocabulary the workspace report can surface.
-
-        The expected touched-vertex count of a ``max_level``-capped
-        expansion from ``k`` sources is modeled as
-        ``min(n, k * avg_degree ** max_level)`` (computed in log space
-        so deep caps cannot overflow); the block path wins only when
-        that stays within
-        :attr:`~CostModelParams.block_gather_fraction` of the graph —
-        beyond it, per-block varint decoding re-pays the full-decode
-        cost with none of the locality benefit.
-        """
-        n = max(int(num_vertices), 1)
-        if max_level is None:
-            return "decoded", "uncapped expansion reaches the whole component"
-        k = max(int(num_sources), 1)
-        avg = max(num_directed_edges / n, 1.0)
-        log_touched = log(k) + max_level * log(avg) if avg > 1.0 else log(k)
-        fraction = 1.0 if log_touched >= log(n) else min(
-            (k * avg**max_level) / n, 1.0
-        )
-        limit = self.params.block_gather_fraction
-        if fraction <= limit:
-            return "blocks", (
-                f"expected touch fraction {fraction:.4f} within "
-                f"block gather fraction {limit:g}"
-            )
-        return "decoded", (
-            f"expected touch fraction {fraction:.4f} exceeds "
-            f"block gather fraction {limit:g}"
-        )
-
-    def choose_memory_mode(
-        self, *, decoded_bytes: int, budget_bytes: int | None
-    ) -> tuple[str, str]:
-        """Route a traversal by memory pressure over a compressed store.
-
-        Returns ``("decode" | "cached" | "stream", reason)`` — the
-        verdict :class:`~repro.bfs.kernel.TraversalKernel` consults
-        when a memory budget is set on a store-backed graph. Same
-        reason-string contract as :meth:`lane_batch_verdict`: small,
-        stable vocabulary.
-
-        * ``"decode"`` — no budget, or the full decoded image (times
-          :attr:`~CostModelParams.decode_headroom` for the decode
-          transient) fits it: the in-memory arrays are strictly faster
-          than any block path.
-        * ``"cached"`` — the budget cannot hold the decoded image but
-          affords a block cache of at least
-          :attr:`~CostModelParams.cache_min_fraction` of it: gather
-          through the byte-capped LRU.
-        * ``"stream"`` — the budget is below even a useful cache:
-          decode blocks per gather and retain nothing, so the decoded
-          working set never exceeds one frontier's blocks.
-        """
-        if budget_bytes is None:
-            return "decode", "no memory budget set"
-        decoded = max(int(decoded_bytes), 1)
-        budget = max(int(budget_bytes), 0)
-        if decoded * self.params.decode_headroom <= budget:
-            return "decode", (
-                f"decoded image {decoded} B fits budget {budget} B "
-                f"with {self.params.decode_headroom:g}x headroom"
-            )
-        if budget >= self.params.cache_min_fraction * decoded:
-            return "cached", (
-                f"budget {budget} B affords a block cache >= "
-                f"{self.params.cache_min_fraction:g} of the decoded image"
-            )
-        return "stream", (
-            f"budget {budget} B below minimum useful cache "
-            f"({self.params.cache_min_fraction:g} of {decoded} B decoded)"
-        )
 
     # ------------------------------------------------------------------
     # Bit-parallel lane accounting

@@ -218,41 +218,24 @@ def create_executor(
     backend: str = "auto",
     kernel: TraversalKernel | None = None,
     model: LevelSynchronousCostModel | None = None,
-    memory_budget: int | None = None,
 ) -> SweepExecutor:
     """Build the right :class:`SweepExecutor` for a fan-out workload.
 
     ``backend="auto"`` delegates to
     :meth:`LevelSynchronousCostModel.choose_backend` with the graph's
     structural estimate and ``batch_lanes`` expected sources per round.
-
-    ``memory_budget`` is the byte cap on decoded-block scratch. When it
-    resolves to a pressure mode (``"cached"`` / ``"stream"`` — see
-    :meth:`LevelSynchronousCostModel.choose_memory_mode`) on a
-    store-backed graph, an ``auto`` backend is vetoed down to
-    ``serial``: lane sweeps and decoded-array gathers would drag the
-    full indices through memory regardless of the budget, while the
-    serial backend runs on the kernel's budget-routed block path.
     """
     if batch_lanes < 1:
         raise AlgorithmError(f"batch_lanes must be >= 1, got {batch_lanes}")
     if backend == "auto":
         model = model or LevelSynchronousCostModel()
-        if memory_budget is not None and graph.backing_store is not None:
-            decoded = graph.indptr.nbytes + graph.indices.nbytes
-            mode, _ = model.choose_memory_mode(
-                decoded_bytes=decoded, budget_bytes=memory_budget
-            )
-            if mode != "decode":
-                backend = "serial"
-        if backend == "auto":
-            backend = model.choose_backend(
-                num_sources=batch_lanes,
-                num_vertices=graph.num_vertices,
-                num_directed_edges=graph.num_directed_edges,
-                max_degree=graph.max_degree(),
-                lanes=min(batch_lanes, LANE_WIDTH),
-            )
+        backend = model.choose_backend(
+            num_sources=batch_lanes,
+            num_vertices=graph.num_vertices,
+            num_directed_edges=graph.num_directed_edges,
+            max_degree=graph.max_degree(),
+            lanes=min(batch_lanes, LANE_WIDTH),
+        )
     if backend == "bitparallel":
         return BitparallelSweepExecutor(graph, kernel=kernel, max_lanes=batch_lanes)
     if backend == "serial":

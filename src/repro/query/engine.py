@@ -122,7 +122,7 @@ class _GraphEntry:
         "epoch",
     )
 
-    def __init__(self, graph, *, memory_budget: int | None = None):
+    def __init__(self, graph):
         #: The mutable handle when registered as a DynamicGraph
         #: (``None`` for static entries).
         self.dynamic: DynamicGraph | None = (
@@ -138,7 +138,7 @@ class _GraphEntry:
         self.graph: CSRGraph = (
             graph.view() if self.dynamic is not None else graph
         )
-        self.kernel = TraversalKernel(self.graph, memory_budget=memory_budget)
+        self.kernel = TraversalKernel(self.graph)
         #: Lazily built sweep executor (see QueryEngine._executor_for).
         self.executor = None
         #: source vertex -> int32 distance row, LRU-ordered.
@@ -147,7 +147,7 @@ class _GraphEntry:
         self.digest: str | None = None
         self.dirty = False  # memo rows not yet flushed to the store
 
-    def advance_epoch(self, *, memory_budget: int | None = None) -> None:
+    def advance_epoch(self) -> None:
         """Epoch-tagged invalidation after a mutation batch.
 
         Everything derived from the previous epoch's adjacency is
@@ -163,7 +163,7 @@ class _GraphEntry:
         if self.executor is not None:
             self.executor.close()
             self.executor = None
-        self.kernel = TraversalKernel(self.graph, memory_budget=memory_budget)
+        self.kernel = TraversalKernel(self.graph)
         self.memo.clear()
         self.diameter = None
         self.dirty = False
@@ -194,20 +194,12 @@ class QueryEngine:
         (:meth:`TraversalKernel.distance_batch`).
     memo_vectors:
         Per-graph cap on memoized distance rows (LRU evicted).
-    memory_budget:
-        Byte budget for decoded adjacency scratch, applied to every
-        registered graph's kernel (and threaded into ``diam``
-        resolution runs). Only takes effect for graphs backed by a
-        block-compressed store (``.scsr`` loaded with ``mmap=True``);
-        see :class:`repro.core.config.FDiamConfig`. ``None`` means
-        unbounded.
     """
 
     store: object | None = None
     max_graphs: int = 4
     batch_lanes: int = 256
     memo_vectors: int = 64
-    memory_budget: int | None = None
     _graphs: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     def __post_init__(self):
@@ -217,8 +209,6 @@ class QueryEngine:
             raise AlgorithmError("batch_lanes must be >= 1")
         if self.memo_vectors < 0:
             raise AlgorithmError("memo_vectors must be >= 0")
-        if self.memory_budget is not None and self.memory_budget < 0:
-            raise AlgorithmError("memory_budget must be >= 0")
 
     # ------------------------------------------------------------------
     # Registry
@@ -235,7 +225,7 @@ class QueryEngine:
         so a sidecar from another epoch can never seed anything.
         """
         key = key if key is not None else graph.name
-        entry = _GraphEntry(graph, memory_budget=self.memory_budget)
+        entry = _GraphEntry(graph)
         if self.store is not None:
             entry.digest = (
                 graph.digest()
@@ -279,10 +269,7 @@ class QueryEngine:
     def remove_graph(self, key: str) -> bool:
         """Drop ``key`` from the registry, closing its executor.
 
-        Returns whether the key was registered. The graph's backing
-        store (if any) stays open — whoever opened the file owns it;
-        the serving layer's byte-budgeted registry closes it after
-        calling this.
+        Returns whether the key was registered.
         """
         entry = self._graphs.pop(key, None)
         if entry is None:
@@ -349,7 +336,7 @@ class QueryEngine:
             )
         batch = entry.dynamic.apply(inserts, deletes)
         if batch.mutated:
-            entry.advance_epoch(memory_budget=self.memory_budget)
+            entry.advance_epoch()
             if self.store is not None:
                 entry.digest = entry.dynamic.digest()
         return batch
@@ -469,17 +456,12 @@ class QueryEngine:
             from repro.cache.runner import fdiam_cached
 
             result, _ = fdiam_cached(
-                entry.graph,
-                FDiamConfig(prep="auto", memory_budget=self.memory_budget),
-                store=self.store,
+                entry.graph, FDiamConfig(prep="auto"), store=self.store
             )
         else:
             from repro.core.fdiam import fdiam
 
-            result = fdiam(
-                entry.graph,
-                FDiamConfig(prep="auto", memory_budget=self.memory_budget),
-            )
+            result = fdiam(entry.graph, FDiamConfig(prep="auto"))
         stats.sweeps += result.stats.bfs_traversals
         stats.scalar_traversals += result.stats.bfs_traversals
         stats.edges_examined += result.stats.edges_examined

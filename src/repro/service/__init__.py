@@ -15,15 +15,14 @@ Layers (DESIGN.md §15):
 * :class:`~repro.service.scheduler.CoalescingScheduler` — the batching
   window state machine, adaptive window sizing, admission control.
 * :class:`~repro.service.registry.GraphRegistry` — multi-graph
-  residency under a byte budget with LRU eviction, composing with the
-  out-of-core memory-mode routing for graphs bigger than the budget.
+  residency under a byte budget with LRU eviction.
 * :class:`~repro.service.server.QueryService` — the HTTP front end
   (``POST /query``, ``GET /stats``, ``GET /graphs``, ``GET /healthz``)
   and lifecycle owner.
 * :class:`~repro.service.client.ServiceClient` — the dependency-free
   client the load harness, CI gate, and tests drive it with.
 
-``python -m repro serve graph.scsr --mmap`` boots one from the CLI.
+``python -m repro serve graph.scsr`` boots one from the CLI.
 """
 
 from repro.service.client import ServiceClient

@@ -3,19 +3,11 @@
 The server is configured with *specs* (a key plus a graph file path,
 or an already-built :class:`~repro.graph.csr.CSRGraph`); the registry
 opens them lazily on first query and keeps the resident set under a
-byte budget with LRU eviction. Residency is measured the same way the
-out-of-core tier measures it (PR 8's ``decoded_bytes``):
-``indptr.nbytes + indices.nbytes`` — the arrays a traversal actually
-walks.
-
-Interplay with the memory-mode routing: the budget here evicts *whole
-graphs*; a graph whose decoded size alone exceeds the engine's
-``memory_budget`` still opens fine when backed by a mmap'd ``.scsr``
-image — the kernel's cost model routes its gathers through the
-block-decode path (DESIGN.md §14), so a cold or oversized graph costs
-wall time, never an OOM. The two budgets compose: ``byte_budget``
-bounds how many graphs stay hot, ``memory_budget`` bounds the scratch
-each one may decode.
+byte budget with LRU eviction. Residency is measured as
+``indptr.nbytes + indices.nbytes`` — the decoded arrays a traversal
+actually walks, whatever the file format. The budget evicts *whole
+graphs*: one whose decoded size alone exceeds it still opens, and
+stays resident until another graph's open evicts it.
 
 Threading contract: :meth:`ensure`, :meth:`evict`, and :meth:`close`
 run on the scheduler's single dispatch thread (the same thread that
@@ -63,11 +55,9 @@ class GraphSpec:
     #: Path to open lazily (``.npz``/``.scsr``/text), or ``None`` when
     #: ``graph`` is provided directly.
     path: str | None = None
-    #: Pre-built graph (tests, embedded use); kept out of eviction's
-    #: store-closing path since the caller owns it.
+    #: Pre-built graph (tests, embedded use).
     graph: CSRGraph | None = None
-    #: Memory-map binary containers on open (``.scsr`` keeps the
-    #: compressed image attached for block-decoding gathers).
+    #: Memory-map ``.npz`` CSR arrays on open (other formats ignore it).
     mmap: bool = True
     #: Wrap in a :class:`~repro.dynamic.DynamicGraph` on open so the
     #: service can apply ``POST /mutate`` batches to it.
@@ -81,12 +71,11 @@ class GraphSpec:
 
 
 class _Resident:
-    __slots__ = ("graph", "nbytes", "opened_here")
+    __slots__ = ("graph", "nbytes")
 
-    def __init__(self, graph: CSRGraph, nbytes: int, opened_here: bool):
+    def __init__(self, graph: CSRGraph, nbytes: int):
         self.graph = graph
         self.nbytes = nbytes
-        self.opened_here = opened_here
 
 
 class GraphRegistry:
@@ -168,13 +157,13 @@ class GraphRegistry:
         resident = self._resident.get(key)
         if resident is None:
             if spec.graph is not None:
-                graph, opened_here = spec.graph, False
+                graph = spec.graph
             else:
-                graph, opened_here = read_graph(spec.path, mmap=spec.mmap), True
+                graph = read_graph(spec.path, mmap=spec.mmap)
             if spec.dynamic and not isinstance(graph, DynamicGraph):
                 graph = DynamicGraph(graph)
             self.engine.add_graph(graph, key=key)
-            resident = _Resident(graph, resident_bytes(graph), opened_here)
+            resident = _Resident(graph, resident_bytes(graph))
             self._resident[key] = resident
             self.opens += 1
         else:
@@ -212,15 +201,10 @@ class GraphRegistry:
         self.mutated_skips += len(skipped)
 
     def evict(self, key: str) -> bool:
-        """Drop ``key`` from the engine and close its backing store."""
-        resident = self._resident.pop(key, None)
-        if resident is None:
+        """Drop ``key`` from the engine (reopened from its spec on demand)."""
+        if self._resident.pop(key, None) is None:
             return False
         self.engine.remove_graph(key)
-        base = getattr(resident.graph, "base", resident.graph)
-        backing = getattr(base, "backing_store", None)
-        if resident.opened_here and backing is not None:
-            backing.close()
         self.evictions += 1
         return True
 

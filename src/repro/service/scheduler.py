@@ -242,12 +242,24 @@ class CoalescingScheduler:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
+    def _run_resident(self, key: str, queries: list):
+        """Dispatch-thread job: run a batch on a resident graph.
+
+        ``submit`` opens the graph at admission, but the pin only comes
+        at flush time, so another graph's open may evict it while its
+        window is still collecting; :meth:`GraphRegistry.ensure` reopens
+        it from its spec (a no-op when it is still resident). Mutated
+        dynamic graphs are never evicted, so a reopen never drops edits.
+        """
+        self.registry.ensure(key)
+        return self.engine.run(key, queries)
+
     async def _run_batch(self, key: str, batch: list[_Pending]) -> None:
         queries = [p.parsed for p in batch]
         loop = asyncio.get_running_loop()
         try:
             answers, batch_stats = await loop.run_in_executor(
-                self._dispatch, self.engine.run, key, queries
+                self._dispatch, self._run_resident, key, queries
             )
         except BaseException as exc:  # noqa: BLE001 - fail the riders, keep serving
             self.stats.failed_batches += 1

@@ -103,7 +103,6 @@ class QueryService:
         store=None,
         config: SchedulerConfig | None = None,
         byte_budget: int | None = None,
-        memory_budget: int | None = None,
         batch_lanes: int = 256,
         memo_vectors: int = 64,
     ):
@@ -113,7 +112,6 @@ class QueryService:
             max_graphs=_ENGINE_CAPACITY,
             batch_lanes=batch_lanes,
             memo_vectors=memo_vectors,
-            memory_budget=memory_budget,
         )
         self.registry = GraphRegistry(self.engine, byte_budget=byte_budget)
         self.stats = ServiceStats()

@@ -1,9 +1,9 @@
 """``repro.store`` — the succinct block-compressed CSR container.
 
 Gap/delta-encoded, varint-packed adjacency grouped into fixed-size
-vertex blocks behind a fixed-width offset index; blocks decode
-independently off an ``mmap``'d image (see DESIGN.md §13 and
-:mod:`repro.store.format` for the exact layout).
+vertex blocks behind a fixed-width offset index, decoded in full on
+load (see DESIGN.md §13 and :mod:`repro.store.format` for the exact
+layout).
 """
 
 from repro.store.format import (
@@ -17,8 +17,6 @@ from repro.store.format import (
 )
 from repro.store.scsr import (
     DEFAULT_BLOCK_SIZE,
-    DEFAULT_CACHE_BLOCKS,
-    BlockCacheStats,
     CompressedCSR,
     StoreInfo,
     load_scsr,

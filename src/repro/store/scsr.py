@@ -5,9 +5,9 @@ WebGraph-style compression specialized to this package's CSR graphs
 zigzag delta of its first neighbour against the row's own vertex id,
 then ``gap - 1`` for each following neighbour, all varint-packed
 (:mod:`repro.store.varint`). Rows are grouped into fixed-size vertex
-*blocks* with a fixed-width ``uint64`` offset index, so any block
-decodes independently of the rest of the image — partial traversals
-touch only the file regions their frontier actually visits.
+*blocks* with a fixed-width ``uint64`` offset index; the first-delta
+chain resets at every block boundary, so blocks are self-contained and
+the streaming encoder can write them chunk by chunk.
 
 Locality-aware vertex orders (the PR 3 ``--prep`` reorder pipeline)
 are what make the gaps small: after a BFS/RCM reorder neighbours carry
@@ -21,13 +21,9 @@ Three entry points:
   (fully vectorized; returns the size accounting the benchmarks
   report).
 * :func:`open_scsr` / :class:`CompressedCSR` — mmap the image
-  zero-copy and decode per block through an LRU block cache
-  (:meth:`CompressedCSR.gather_rows` is the traversal kernel's
-  block-decoding gather path).
+  zero-copy and validate its header and block index.
 * :func:`load_scsr` — full decode back to a ``CSRGraph`` (storage tag
-  ``"scsr:v1"``), digest-verified; with ``mmap=True`` the compressed
-  image stays attached as the graph's ``backing_store`` so the kernel
-  can use it.
+  ``"scsr:v1"``), digest-verified; the image is closed afterwards.
 
 Every corruption mode raises :class:`~repro.errors.StoreFormatError`
 with the file and failing region named.
@@ -37,8 +33,6 @@ from __future__ import annotations
 
 import os
 import secrets
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +57,6 @@ from repro.store.varint import (
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_CACHE_BLOCKS",
-    "BlockCacheStats",
     "StoreInfo",
     "CompressedCSR",
     "save_scsr",
@@ -76,61 +68,6 @@ __all__ = [
 #: cache line of ids per vertex on the pinned analogs while the
 #: fixed-width index stays < 0.4 bytes/vertex.
 DEFAULT_BLOCK_SIZE = 64
-
-#: Blocks the decode cache retains (LRU); at the default block size
-#: this bounds resident decoded scratch to a few MiB even on hub rows.
-DEFAULT_CACHE_BLOCKS = 512
-
-#: Floor on the transient bulk-decode scratch (in bytes of decoded
-#: adjacency) — even a tiny cache budget amortizes varint overhead
-#: over passes of this size; the scratch is freed when the gather ends.
-_RUN_DECODE_FLOOR = 1 << 22
-
-
-@dataclass
-class BlockCacheStats:
-    """Decode accounting of one :class:`CompressedCSR`.
-
-    Mirrors the :class:`~repro.bfs.kernel.WorkspaceStats` style:
-    ``block_requests`` counts every block the gather path asked for,
-    ``block_hits`` the ones served from the LRU cache without
-    decoding, ``blocks_decoded`` / ``decoded_bytes`` the actual varint
-    work, and ``evictions`` the cache pressure. ``redecoded_blocks``
-    counts decodes of a block decoded before (thrash: work the cache
-    would have saved with a larger budget) and ``decode_seconds`` the
-    wall time inside block decodes, so ``decode_bandwidth`` reads out
-    the varint path's effective decoded bytes per second.
-    """
-
-    block_requests: int = 0
-    block_hits: int = 0
-    blocks_decoded: int = 0
-    decoded_bytes: int = 0
-    evictions: int = 0
-    redecoded_blocks: int = 0
-    decode_seconds: float = 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of block requests served without a decode."""
-        if self.block_requests == 0:
-            return 0.0
-        return self.block_hits / self.block_requests
-
-    @property
-    def thrash_rate(self) -> float:
-        """Fraction of decodes that re-did previously decoded work."""
-        if self.blocks_decoded == 0:
-            return 0.0
-        return self.redecoded_blocks / self.blocks_decoded
-
-    @property
-    def decode_bandwidth(self) -> float:
-        """Decoded bytes per second of decode wall time (0 if untimed)."""
-        if self.decode_seconds <= 0.0:
-            return 0.0
-        return self.decoded_bytes / self.decode_seconds
-
 
 @dataclass(frozen=True)
 class StoreInfo:
@@ -194,24 +131,16 @@ def _block_boundaries(num_vertices: int, block_size: int) -> np.ndarray:
 def _decode_rows(
     vals: np.ndarray,
     degrees: np.ndarray,
-    first_vertex: int,
     num_vertices: int,
     block_size: int,
     *,
     source: str,
-    region: str,
-    row_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rebuild absolute neighbour ids from decoded delta values.
 
-    ``vals`` holds the varint-decoded codes of consecutive rows whose
-    degrees are ``degrees`` and whose first row is vertex
-    ``first_vertex`` — or, when ``row_ids`` is given, of the explicit
-    (ascending, possibly non-contiguous) vertices it names: the
-    first-delta chains reset at block boundaries, so rows from any
-    sorted set of whole blocks decode in one pass. Two layered
-    carry-corrected ``cumsum`` passes do all the work with no per-row
-    loop:
+    ``vals`` holds the varint-decoded codes of every row, in vertex
+    order, and ``degrees`` the row lengths. Two layered carry-corrected
+    ``cumsum`` passes do all the work with no per-row loop:
 
     1. the zigzag codes at the row starts chain first-neighbour
        deltas row-to-row *within each block* (the block's first
@@ -228,10 +157,7 @@ def _decode_rows(
         return np.empty(0, dtype=np.int64)
     nz = degrees > 0
     row_starts = local_indptr[:-1][nz]
-    if row_ids is None:
-        row_ids = first_vertex + np.flatnonzero(nz)
-    else:
-        row_ids = np.asarray(row_ids, dtype=np.int64)[nz]
+    row_ids = np.flatnonzero(nz)
 
     # Pass 1: first neighbours, chained per block segment.
     z = zigzag_decode(vals[row_starts])
@@ -253,40 +179,25 @@ def _decode_rows(
     adj = running - np.repeat(carry, degrees[nz])
     if len(adj) and (int(adj.min()) < 0 or int(adj.max()) >= num_vertices):
         raise StoreFormatError(
-            f"{source}: {region}: decoded neighbour id out of range "
+            f"{source}: adjacency stream: decoded neighbour id out of range "
             f"[0, {num_vertices}) — corrupt adjacency stream"
         )
     return adj
 
 
 class CompressedCSR:
-    """A parsed ``.scsr`` image with per-block decoding.
+    """A parsed ``.scsr`` image.
 
     The image (mmap or in-memory buffer) is never copied: the header
-    and the three ``uint64`` index tables are zero-copy views, and
-    only the blocks a caller touches are varint-decoded — into fresh
-    arrays held by an LRU cache whose footprint :class:`BlockCacheStats`
-    tracks. All parsing errors raise
+    and the three ``uint64`` index tables are zero-copy views, checked
+    for monotonicity and agreement with the header on construction;
+    :meth:`to_graph` decodes the streams. All parsing errors raise
     :class:`~repro.errors.StoreFormatError` naming ``source``.
     """
 
-    def __init__(
-        self,
-        image: np.ndarray,
-        *,
-        source: str = "<buffer>",
-        cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        cache_bytes: int | None = None,
-    ):
+    def __init__(self, image: np.ndarray, *, source: str = "<buffer>"):
         self._image = np.ascontiguousarray(image, dtype=np.uint8).reshape(-1)
         self._source = source
-        self.stats = BlockCacheStats()
-        self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
-        self._cache_blocks = max(int(cache_blocks), 1)
-        self._cache_bytes = None if cache_bytes is None else max(int(cache_bytes), 0)
-        self._resident_bytes = 0
         self._degrees: np.ndarray | None = None
         self._indptr: np.ndarray | None = None
 
@@ -305,12 +216,12 @@ class CompressedCSR:
             return self._image[lo : lo + table].view(np.uint64)
 
         self._first_edge = _table(0).astype(np.int64)
-        self._deg_offsets = _table(1).astype(np.int64)
-        self._adj_offsets = _table(2).astype(np.int64)
+        deg_offsets = _table(1).astype(np.int64)
+        adj_offsets = _table(2).astype(np.int64)
         for label, offs, last in (
             ("first_edge", self._first_edge, self.header.num_directed_edges),
-            ("deg_offsets", self._deg_offsets, None),
-            ("adj_offsets", self._adj_offsets, None),
+            ("deg_offsets", deg_offsets, None),
+            ("adj_offsets", adj_offsets, None),
         ):
             if offs[0] != 0 or (np.diff(offs) < 0).any():
                 raise StoreFormatError(
@@ -321,8 +232,8 @@ class CompressedCSR:
                     f"{source}: {label} index ends at {int(offs[-1])}, "
                     f"header claims {last} arcs"
                 )
-        deg_len = int(self._deg_offsets[-1])
-        adj_len = int(self._adj_offsets[-1])
+        deg_len = int(deg_offsets[-1])
+        adj_len = int(adj_offsets[-1])
         self._deg_stream = self._image[streams_start : streams_start + deg_len]
         adj_start = streams_start + deg_len
         self._adj_stream = self._image[adj_start : adj_start + adj_len]
@@ -335,38 +246,23 @@ class CompressedCSR:
         self._bounds = _block_boundaries(
             self.header.num_vertices, self.header.block_size
         )
-        self._decoded_once = np.zeros(self.header.num_blocks, dtype=bool)
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def open(
-        cls, path: str | os.PathLike, *, cache_blocks: int = DEFAULT_CACHE_BLOCKS
-    ) -> "CompressedCSR":
+    def open(cls, path: str | os.PathLike) -> "CompressedCSR":
         """Memory-map ``path`` read-only and parse it (zero-copy)."""
         try:
             image = np.memmap(path, dtype=np.uint8, mode="r")
         except (OSError, ValueError) as exc:
             raise StoreFormatError(f"{path}: cannot map .scsr file ({exc})") from exc
-        return cls(image, source=str(path), cache_blocks=cache_blocks)
+        return cls(image, source=str(path))
 
     @classmethod
-    def from_buffer(
-        cls,
-        buf,
-        *,
-        source: str = "<shared>",
-        cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        cache_bytes: int | None = None,
-    ) -> "CompressedCSR":
+    def from_buffer(cls, buf, *, source: str = "<shared>") -> "CompressedCSR":
         """Parse an in-memory image (e.g. the bytes of a ``.scsr`` file)."""
-        return cls(
-            np.frombuffer(buf, dtype=np.uint8),
-            source=source,
-            cache_blocks=cache_blocks,
-            cache_bytes=cache_bytes,
-        )
+        return cls(np.frombuffer(buf, dtype=np.uint8), source=source)
 
     # ------------------------------------------------------------------
     # Size accessors
@@ -420,50 +316,6 @@ class CompressedCSR:
         }
 
     # ------------------------------------------------------------------
-    # Cache budget
-    # ------------------------------------------------------------------
-    @property
-    def cache_budget(self) -> int | None:
-        """Byte budget of the block cache (``None`` = block-count LRU)."""
-        return self._cache_bytes
-
-    @property
-    def cache_resident_bytes(self) -> int:
-        """Decoded bytes currently held by the block cache."""
-        return self._resident_bytes
-
-    def set_cache_budget(self, nbytes: int | None) -> None:
-        """Cap the decoded block cache at ``nbytes`` (``None`` clears).
-
-        A byte budget takes precedence over the block-count limit the
-        store was opened with; setting one trims the cache immediately
-        (evictions count toward :attr:`BlockCacheStats.evictions`).
-        """
-        self._cache_bytes = None if nbytes is None else max(int(nbytes), 0)
-        self._trim_cache(min_keep=0)
-
-    def _trim_cache(self, *, min_keep: int = 1) -> None:
-        """Evict LRU entries until the cache fits its budget.
-
-        ``min_keep`` protects the just-inserted entry on the decode
-        path (a block larger than the whole budget must still be
-        servable once); budget changes trim all the way down.
-        """
-        if self._cache_bytes is not None:
-            while (
-                self._resident_bytes > self._cache_bytes
-                and len(self._cache) > min_keep
-            ):
-                _, (li, adj) = self._cache.popitem(last=False)
-                self._resident_bytes -= li.nbytes + adj.nbytes
-                self.stats.evictions += 1
-        else:
-            while len(self._cache) > self._cache_blocks:
-                _, (li, adj) = self._cache.popitem(last=False)
-                self._resident_bytes -= li.nbytes + adj.nbytes
-                self.stats.evictions += 1
-
-    # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
     def degrees(self) -> np.ndarray:
@@ -493,220 +345,6 @@ class CompressedCSR:
             self.degrees()
         return self._indptr
 
-    def decode_block(
-        self, block: int, *, retain: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode (or fetch cached) one block's rows.
-
-        Returns ``(local_indptr, neighbors)``: ``local_indptr`` has one
-        entry per block vertex plus one, relative to the block's first
-        arc, and ``neighbors`` is the block's concatenated adjacency
-        (``int64`` absolute ids). Vertex ``v`` of block ``b`` (global
-        id ``b * block_size + i``) owns
-        ``neighbors[local_indptr[i]:local_indptr[i + 1]]``.
-
-        ``retain=False`` is the streaming-gather mode: existing cache
-        entries are still served (and refreshed), but a freshly decoded
-        block is returned without being inserted — the cache footprint
-        never grows, at the cost of re-decoding on revisit.
-        """
-        if not 0 <= block < self.header.num_blocks:
-            raise StoreFormatError(
-                f"{self._source}: block {block} out of range "
-                f"[0, {self.header.num_blocks})"
-            )
-        self.stats.block_requests += 1
-        cached = self._cache.get(block)
-        if cached is not None:
-            self.stats.block_hits += 1
-            self._cache.move_to_end(block)
-            return cached
-        return self._decode_blocks(
-            np.array([block], dtype=np.int64), retain=retain
-        )[0]
-
-    def _decode_blocks(
-        self, ids: np.ndarray, *, retain: bool = True
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Decode an ascending set of blocks in one varint pass each.
-
-        ``ids`` need not be contiguous: the byte slices of each maximal
-        contiguous run are concatenated (cheap memcpy of the encoded
-        bytes) and both streams decode in a single
-        :func:`decode_varints` call — the fixed per-call cost that
-        dominates scattered single-block decodes is paid once per
-        *gather*, not once per block. The first-delta chains reset at
-        block boundaries, so :func:`_decode_rows` rebuilds absolute ids
-        across the whole concatenation given the explicit row ids.
-
-        Returns one ``(local_indptr, neighbors)`` entry per block in
-        ``ids`` order; ``retain`` inserts each into the LRU cache
-        (copies), otherwise the entries are transient views into the
-        pass's scratch.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        region = (
-            f"block {int(ids[0])}"
-            if len(ids) == 1
-            else f"blocks {int(ids[0])}..{int(ids[-1])} ({len(ids)} of them)"
-        )
-        t0 = time.perf_counter()
-        # Maximal contiguous runs of ids: one byte-slice pair per run.
-        cuts = np.flatnonzero(np.diff(ids) > 1) + 1
-        run_lo = ids[np.concatenate(([0], cuts))]
-        run_hi = ids[np.concatenate((cuts - 1, [len(ids) - 1]))] + 1
-        def _splice(stream: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-            parts = [
-                stream[offsets[lo] : offsets[hi]]
-                for lo, hi in zip(run_lo, run_hi)
-            ]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-        counts = self._bounds[ids + 1] - self._bounds[ids]
-        degs = decode_varints(
-            _splice(self._deg_stream, self._deg_offsets),
-            expected=int(counts.sum()),
-        ).astype(np.int64)
-        exp_arcs = self._first_edge[ids + 1] - self._first_edge[ids]
-        local = np.concatenate(([0], np.cumsum(degs)))
-        vtx_bounds = np.concatenate(([0], np.cumsum(counts)))
-        arc_bounds = np.concatenate(([0], np.cumsum(exp_arcs)))
-        if (local[vtx_bounds] != arc_bounds).any():
-            raise StoreFormatError(
-                f"{self._source}: {region}: degrees sum to "
-                f"{int(degs.sum())}, block index claims "
-                f"{int(exp_arcs.sum())} arcs (corrupt)"
-            )
-        vals = decode_varints(
-            _splice(self._adj_stream, self._adj_offsets),
-            expected=int(exp_arcs.sum()),
-        )
-        total_rows = int(counts.sum())
-        ramp = np.arange(total_rows, dtype=np.int64)
-        row_ids = ramp + np.repeat(
-            self._bounds[ids] - vtx_bounds[:-1], counts
-        )
-        adj = _decode_rows(
-            vals,
-            degs,
-            0,
-            self.header.num_vertices,
-            self.header.block_size,
-            source=self._source,
-            region=region,
-            row_ids=row_ids,
-        )
-        self.stats.decode_seconds += time.perf_counter() - t0
-        entries: list[tuple[np.ndarray, np.ndarray]] = []
-        redecoded = int(self._decoded_once[ids].sum())
-        self.stats.blocks_decoded += len(ids)
-        self.stats.redecoded_blocks += redecoded
-        self._decoded_once[ids] = True
-        for k, b in enumerate(ids.tolist()):
-            rlo = int(vtx_bounds[k])
-            rhi = int(vtx_bounds[k + 1])
-            alo = int(local[rlo])
-            li = local[rlo : rhi + 1] - alo
-            a = adj[alo : int(local[rhi])]
-            if retain:
-                a = a.copy()
-            entry = (li, a)
-            self.stats.decoded_bytes += li.nbytes + a.nbytes
-            if retain:
-                old = self._cache.pop(b, None)
-                if old is not None:
-                    self._resident_bytes -= old[0].nbytes + old[1].nbytes
-                self._cache[b] = entry
-                self._resident_bytes += li.nbytes + a.nbytes
-            entries.append(entry)
-        if retain:
-            self._trim_cache(min_keep=1)
-        return entries
-
-    def gather_rows(
-        self, vertices: np.ndarray, *, pool=None, retain: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated neighbour lists of ``vertices`` via block decode.
-
-        The block-path twin of
-        :func:`repro.bfs.frontier.gather_neighbors`: vertices are
-        grouped by block, each needed block is decoded once (LRU-cached
-        across calls), and the rows are scattered back into request
-        order with the same ``repeat``/``cumsum`` arithmetic the
-        in-memory gather uses. Returns ``(values, lengths)``.
-
-        ``pool`` (a duck-typed :class:`~repro.bfs.kernel.Workspace`)
-        supplies the cached ``arange`` ramp. ``retain=False`` streams:
-        decoded blocks are used for this gather only and never enter
-        the cache (see :meth:`decode_block`).
-
-        Cache misses are decoded in bulk: all missing blocks (however
-        scattered) share one varint pass per stream via
-        :meth:`_decode_blocks` — split only when a pass would outgrow
-        its scratch cap — and the request scatters in a single
-        fancy-index over the assembled blocks instead of a per-block
-        loop.
-        """
-        v = np.asarray(vertices, dtype=np.int64).ravel()
-        if len(v) and (int(v.min()) < 0 or int(v.max()) >= self.num_vertices):
-            raise StoreFormatError(
-                f"{self._source}: gather vertex out of range "
-                f"[0, {self.num_vertices})"
-            )
-        lengths = self.degrees()[v] if len(v) else np.empty(0, dtype=np.int64)
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), lengths
-        blocks = v // self.header.block_size
-        uniq = np.unique(blocks)
-        self.stats.block_requests += len(uniq)
-        entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        missing: list[int] = []
-        for b in uniq.tolist():
-            entry = self._cache.get(b)
-            if entry is not None:
-                self.stats.block_hits += 1
-                self._cache.move_to_end(b)
-                entries[b] = entry
-            else:
-                missing.append(b)
-        if missing:
-            # Transient pass scratch stays near the cache budget (with a
-            # floor so tiny budgets still amortize the varint overhead).
-            if self._cache_bytes is not None:
-                cap_arcs = max(self._cache_bytes, _RUN_DECODE_FLOOR) // 8
-            else:
-                cap_arcs = _RUN_DECODE_FLOOR
-            miss = np.array(missing, dtype=np.int64)
-            arcs = (
-                self._first_edge[miss + 1] - self._first_edge[miss]
-            )
-            group = np.cumsum(arcs) // max(cap_arcs, 1)
-            for g in np.unique(group):
-                chunk = miss[group == g]
-                for b, entry in zip(
-                    chunk.tolist(),
-                    self._decode_blocks(chunk, retain=retain),
-                ):
-                    entries[b] = entry
-        adj_list = [entries[b][1] for b in uniq.tolist()]
-        sizes = np.fromiter(
-            (len(a) for a in adj_list), dtype=np.int64, count=len(adj_list)
-        )
-        base = np.concatenate(([0], np.cumsum(sizes)))
-        big = adj_list[0] if len(adj_list) == 1 else np.concatenate(adj_list)
-        bidx = np.searchsorted(uniq, blocks)
-        # A row's arcs sit at its global indptr offset minus the arc
-        # base of its block — the entry holds the full block.
-        pos = base[bidx] + (self.indptr()[v] - self._first_edge[blocks])
-        ramp = (
-            pool.arange(total)
-            if pool is not None
-            else np.arange(total, dtype=np.int64)
-        )
-        prefix = np.cumsum(lengths) - lengths
-        flat = ramp[:total] + np.repeat(pos - prefix, lengths)
-        return big[flat], lengths
-
     def to_graph(self, *, verify: bool = True) -> CSRGraph:
         """Full vectorized decode into a :class:`CSRGraph`.
 
@@ -724,11 +362,9 @@ class CompressedCSR:
         adj = _decode_rows(
             vals,
             degs,
-            0,
             self.header.num_vertices,
             self.header.block_size,
             source=self._source,
-            region="adjacency stream",
         )
         indices = adj.astype(self.header.indices_dtype)
         if verify:
@@ -747,14 +383,11 @@ class CompressedCSR:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop the image reference and decoded caches (idempotent).
+        """Drop the image reference (idempotent).
 
-        For mmap-backed stores this releases the mapping once no
-        decoded graph view references it (decoded arrays are copies,
-        never views, so closing is always safe).
+        For mmap-backed stores this releases the mapping (decoded
+        arrays are copies, never views, so closing is always safe).
         """
-        self._cache.clear()
-        self._resident_bytes = 0
         image = self._image
         self._image = np.empty(0, dtype=np.uint8)
         self._deg_stream = self._adj_stream = self._image
@@ -1006,40 +639,22 @@ def save_scsr(
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def open_scsr(
-    path: str | os.PathLike, *, cache_blocks: int = DEFAULT_CACHE_BLOCKS
-) -> CompressedCSR:
-    """Open a ``.scsr`` file as a block-decodable handle (mmap, zero-copy)."""
-    return CompressedCSR.open(path, cache_blocks=cache_blocks)
+def open_scsr(path: str | os.PathLike) -> CompressedCSR:
+    """Open a ``.scsr`` file as a validated handle (mmap, zero-copy)."""
+    return CompressedCSR.open(path)
 
 
-def load_scsr(
-    path: str | os.PathLike, *, mmap: bool = False, verify: bool = True
-) -> CSRGraph:
+def load_scsr(path: str | os.PathLike, *, verify: bool = True) -> CSRGraph:
     """Load a ``.scsr`` file into a :class:`CSRGraph`.
 
     The decoded graph carries ``storage="{tag}"`` so its
     :func:`~repro.graph.io.graph_digest` — and with it every warm-start
     sidecar — is distinct from an ``.npz`` load of the same arrays.
-
-    With ``mmap=True`` the compressed image stays memory-mapped and
-    attached as the graph's :attr:`~repro.graph.csr.CSRGraph.backing_store`:
-    the traversal kernel can then route level-capped expansions through
-    per-block decoding. With ``mmap=False`` the store is closed after the
-    decode and the graph is indistinguishable from any in-memory CSR
-    apart from its storage tag.
+    The store is closed after the decode, so the graph is
+    indistinguishable from any in-memory CSR apart from its storage tag.
     """
-    store = open_scsr(path)
-    try:
-        graph = store.to_graph(verify=verify)
-    except Exception:
-        store.close()
-        raise
-    if mmap:
-        object.__setattr__(graph, "_backing", store)
-    else:
-        store.close()
-    return graph
+    with open_scsr(path) as store:
+        return store.to_graph(verify=verify)
 
 
 load_scsr.__doc__ = load_scsr.__doc__.format(tag=STORAGE_TAG)

@@ -256,71 +256,38 @@ def _check_store(
     from repro.graph.io import graph_digest
     from repro.store import load_scsr, save_scsr
 
-    found: list[Disagreement] = []
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-store-") as root:
         path = os.path.join(root, "trial.scsr")
         try:
             # Tiny blocks so even few-vertex fuzz graphs span several
             # blocks and exercise the chained first-neighbour resets.
             save_scsr(graph, path, block_size=4)
-            eager = load_scsr(path)
-            mapped = load_scsr(path, mmap=True)
+            loaded = load_scsr(path)
         except ReproError as exc:
             return [Disagreement("store", f"{type(exc).__name__}: {exc}")]
-        for label, loaded in (("store/eager", eager), ("store/mmap", mapped)):
-            if not (
-                np.array_equal(loaded.indptr, graph.indptr)
-                and np.array_equal(loaded.indices, graph.indices)
-            ):
-                found.append(
-                    Disagreement(label, "decoded CSR arrays differ from source")
-                )
-                continue
-            if graph_digest(loaded) == graph_digest(graph):
-                found.append(
-                    Disagreement(
-                        label,
-                        "cache key collides with the in-memory load "
-                        "(storage tag missing from graph_digest)",
-                    )
-                )
-            if loaded.num_vertices == 0:
-                continue
-            try:
-                result = fdiam(loaded, FDiamConfig())
-            except ReproError as exc:
-                found.append(
-                    Disagreement(label, f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            found.extend(
-                _check_result(label, result, ref_diameter, ref_connected)
+    label = "store/eager"
+    if not (
+        np.array_equal(loaded.indptr, graph.indptr)
+        and np.array_equal(loaded.indices, graph.indices)
+    ):
+        return [Disagreement(label, "decoded CSR arrays differ from source")]
+    found: list[Disagreement] = []
+    if graph_digest(loaded) == graph_digest(graph):
+        found.append(
+            Disagreement(
+                label,
+                "cache key collides with the in-memory load "
+                "(storage tag missing from graph_digest)",
             )
-        # Memory-budget axis: the same mapped image solved unbounded
-        # (above), with the block cache capped (cached-gather mode),
-        # and with cache retention disabled entirely (streaming-gather)
-        # must agree bit-identically — budgets change wall time and
-        # resident bytes, never answers.
-        if mapped.num_vertices:
-            decoded = mapped.indptr.nbytes + mapped.indices.nbytes
-            budget_axis = (
-                ("store/mmap+capped", FDiamConfig(memory_budget=max(decoded // 2, 1))),
-                ("store/mmap+stream", FDiamConfig(memory_mode="stream")),
-            )
-            for label, config in budget_axis:
-                try:
-                    result = fdiam(mapped, config)
-                except ReproError as exc:
-                    found.append(
-                        Disagreement(label, f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
-                found.extend(
-                    _check_result(label, result, ref_diameter, ref_connected)
-                )
-        backing = mapped.backing_store
-        if backing is not None:
-            backing.close()
+        )
+    if loaded.num_vertices == 0:
+        return found
+    try:
+        result = fdiam(loaded, FDiamConfig())
+    except ReproError as exc:
+        found.append(Disagreement(label, f"{type(exc).__name__}: {exc}"))
+        return found
+    found.extend(_check_result(label, result, ref_diameter, ref_connected))
     return found
 
 

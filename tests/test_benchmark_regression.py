@@ -137,17 +137,11 @@ class TestCommittedBaseline:
         # pinned power-law analog, with lane occupancy reported.
         assert lanes["gather_pass_ratio_vs_scalar"] >= 4.0
         assert 0 < lanes["lane_occupancy"] <= 1
-        # Out-of-core tier acceptance: byte-identical streaming encode
-        # within the O(chunk) peak bound, and the budget battery with
-        # wall-ratio-vs-in-memory at >= 3 budget points.
+        # Scale tier acceptance: byte-identical streaming encode within
+        # the O(chunk) peak bound.
         for name in regression.SCALE_GRAPHS:
             enc = snap["stages"][f"{name}/store_stream_encode"]
             assert enc["byte_identical"] is True
             assert enc["encoder_peak_bytes"] < enc["encoder_peak_bound_bytes"]
-        budgeted = snap["stages"]["powerlaw-10M/fdiam_budgeted"]
-        ratios = [
-            k for k in budgeted if k.endswith("_wall_ratio_vs_memory")
-        ]
-        assert len(ratios) >= 3
         for record in snap["stages"].values():
             assert record["peak_rss_mb"] > 0

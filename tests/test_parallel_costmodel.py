@@ -112,56 +112,3 @@ class TestLaneAccounting:
         with pytest.raises(AlgorithmError):
             CostModelParams(lane_word_rate=0.0)
 
-
-class TestMemoryModeVerdict:
-    def test_no_budget_decodes(self):
-        model = LevelSynchronousCostModel()
-        mode, reason = model.choose_memory_mode(
-            decoded_bytes=1 << 30, budget_bytes=None
-        )
-        assert mode == "decode"
-        assert "no memory budget" in reason
-
-    def test_ample_budget_decodes(self):
-        # 1.5x headroom: the image plus its decode transient must fit.
-        model = LevelSynchronousCostModel()
-        mode, _ = model.choose_memory_mode(
-            decoded_bytes=1000, budget_bytes=1500
-        )
-        assert mode == "decode"
-        mode, _ = model.choose_memory_mode(
-            decoded_bytes=1000, budget_bytes=1499
-        )
-        assert mode != "decode"
-
-    def test_mid_budget_caches(self):
-        model = LevelSynchronousCostModel()
-        mode, reason = model.choose_memory_mode(
-            decoded_bytes=1 << 20, budget_bytes=1 << 18
-        )
-        assert mode == "cached"
-        assert "block cache" in reason
-
-    def test_starved_budget_streams(self):
-        # Below cache_min_fraction (1/16384) of the image, a cache is
-        # all misses: stream instead.
-        model = LevelSynchronousCostModel()
-        decoded = 1 << 30
-        mode, _ = model.choose_memory_mode(
-            decoded_bytes=decoded, budget_bytes=decoded // 32768
-        )
-        assert mode == "stream"
-        mode, _ = model.choose_memory_mode(
-            decoded_bytes=decoded, budget_bytes=decoded // 16384
-        )
-        assert mode == "cached"
-
-    def test_boundary_params_respected(self):
-        params = CostModelParams(decode_headroom=2.0, cache_min_fraction=0.5)
-        model = LevelSynchronousCostModel(params)
-        assert model.choose_memory_mode(
-            decoded_bytes=100, budget_bytes=199
-        )[0] == "cached"
-        assert model.choose_memory_mode(
-            decoded_bytes=100, budget_bytes=49
-        )[0] == "stream"

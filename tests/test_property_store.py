@@ -7,8 +7,8 @@ Two families of properties over the seeded fuzz graphs:
   sizes, so the converter can be chained without drift.
 * **Answer invariance** — fdiam, the eccentricity spectrum, and the
   batched query engine return identical results whether the graph came
-  from memory, an ``.npz`` archive, or a ``.scsr`` store (eager or
-  mmap-backed with the block-decoding kernel path enabled).
+  from memory, an ``.npz`` archive, or a ``.scsr`` store (read with or
+  without the ``.npz``-only ``mmap`` flag).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro.core import FDiamConfig, fdiam
 from repro.core.extremes import eccentricity_spectrum
 from repro.generators.registry import build_fuzz_graph
-from repro.graph.io import load_npz, read_graph, save_npz
+from repro.graph.io import graph_digest, load_npz, read_graph, save_npz
 from repro.query import QueryEngine
 from repro.store import load_scsr, save_scsr
 
@@ -60,12 +60,7 @@ def test_double_scsr_round_trip_stable(tmp_path, seed, block_size):
 
 
 def _all_backings(tmp_path, graph):
-    """The same graph via every storage path, as (label, graph) pairs.
-
-    mmap-backed loads keep their store attached, so traversals on them
-    exercise the block-decoding kernel path where the cost model says
-    to; answers must be unaffected.
-    """
+    """The same graph via every storage path, as (label, graph) pairs."""
     npz, scsr = tmp_path / "g.npz", tmp_path / "g.scsr"
     save_npz(graph, npz)
     save_scsr(graph, scsr, block_size=4)
@@ -73,14 +68,22 @@ def _all_backings(tmp_path, graph):
         ("memory", graph),
         ("npz", read_graph(npz)),
         ("scsr", load_scsr(scsr)),
-        ("scsr+mmap", load_scsr(scsr, mmap=True)),
+        ("scsr+mmap", read_graph(scsr, mmap=True)),
     ]
 
 
-def _close_backings(backings):
-    for _label, g in backings:
-        if g.backing_store is not None:
-            g.backing_store.close()
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_scsr_mmap_read_is_the_eager_load(tmp_path, seed):
+    graph, _ = _connected_fuzz_graph(seed)
+    path = tmp_path / "g.scsr"
+    save_scsr(graph, path, block_size=4)
+    eager = load_scsr(path)
+    mapped = read_graph(path, mmap=True)
+    assert mapped.indptr.dtype == eager.indptr.dtype
+    assert mapped.indices.dtype == eager.indices.dtype
+    assert np.array_equal(mapped.indptr, eager.indptr)
+    assert np.array_equal(mapped.indices, eager.indices)
+    assert graph_digest(mapped) == graph_digest(eager)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
@@ -89,14 +92,11 @@ def test_fdiam_identical_across_backings(tmp_path, seed):
     if graph.num_vertices == 0:
         pytest.skip("fdiam excludes the empty graph")
     backings = _all_backings(tmp_path, graph)
-    try:
-        results = {
-            label: fdiam(g, FDiamConfig()) for label, g in backings
-        }
-        answers = {(r.diameter, r.infinite) for r in results.values()}
-        assert len(answers) == 1, results
-    finally:
-        _close_backings(backings)
+    results = {
+        label: fdiam(g, FDiamConfig()) for label, g in backings
+    }
+    answers = {(r.diameter, r.infinite) for r in results.values()}
+    assert len(answers) == 1, results
 
 
 @pytest.mark.parametrize("seed", [2, 11, 23])
@@ -105,19 +105,16 @@ def test_spectrum_identical_across_backings(tmp_path, seed):
     if graph.num_vertices == 0:
         pytest.skip("spectrum excludes the empty graph")
     backings = _all_backings(tmp_path, graph)
-    try:
-        specs = [
-            (label, eccentricity_spectrum(g)) for label, g in backings
-        ]
-        _, ref = specs[0]
-        for label, spec in specs[1:]:
-            assert spec.diameter == ref.diameter, label
-            assert spec.radius == ref.radius, label
-            assert np.array_equal(
-                spec.eccentricities, ref.eccentricities
-            ), label
-    finally:
-        _close_backings(backings)
+    specs = [
+        (label, eccentricity_spectrum(g)) for label, g in backings
+    ]
+    _, ref = specs[0]
+    for label, spec in specs[1:]:
+        assert spec.diameter == ref.diameter, label
+        assert spec.radius == ref.radius, label
+        assert np.array_equal(
+            spec.eccentricities, ref.eccentricities
+        ), label
 
 
 @pytest.mark.parametrize("seed", [4, 16])
@@ -131,15 +128,12 @@ def test_query_engine_identical_across_backings(tmp_path, seed):
         f"dist {rng.integers(n)} {rng.integers(n)}" for _ in range(6)
     ] + [f"ecc {rng.integers(n)}" for _ in range(4)]
     backings = _all_backings(tmp_path, graph)
-    try:
-        all_answers = []
-        for label, g in backings:
-            engine = QueryEngine()
-            key = engine.add_graph(g)
-            answers, _stats = engine.run(key, queries)
-            all_answers.append((label, answers))
-        _, ref = all_answers[0]
-        for label, answers in all_answers[1:]:
-            assert answers == ref, label
-    finally:
-        _close_backings(backings)
+    all_answers = []
+    for label, g in backings:
+        engine = QueryEngine()
+        key = engine.add_graph(g)
+        answers, _stats = engine.run(key, queries)
+        all_answers.append((label, answers))
+    _, ref = all_answers[0]
+    for label, answers in all_answers[1:]:
+        assert answers == ref, label

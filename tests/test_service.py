@@ -346,6 +346,42 @@ class TestSchedulerUnits:
         assert snap["p50_ms"] >= 1000.0  # seconds in, milliseconds out
 
 
+class TestEviction:
+    def test_graph_evicted_mid_window_is_reopened(self, tmp_path):
+        """A graph evicted after admission but before its window
+        dispatches must be reopened for its batch, not fail it.
+
+        Under a 1-byte residency budget, opening ``b`` evicts ``a``
+        while ``a``'s query still waits in its 200 ms window.
+        """
+        from repro.bfs.reference import serial_distances
+        from repro.graph.io import save_npz
+
+        graphs = {"a": small_graph(seed=3), "b": small_graph(seed=4)}
+        for key, graph in graphs.items():
+            save_npz(graph, tmp_path / f"{key}.npz", compressed=False)
+        config = SchedulerConfig(window_s=0.2, min_window_s=0.2)
+
+        async def main():
+            service = QueryService(config=config, byte_budget=1)
+            for key in graphs:
+                service.add_graph(key, path=str(tmp_path / f"{key}.npz"))
+            try:
+                first = asyncio.ensure_future(
+                    service.scheduler.submit("a", "ecc 0")
+                )
+                await asyncio.sleep(0.05)
+                second = await service.scheduler.submit("b", "ecc 0")
+                return (await first)[0], second[0], service.registry.evictions
+            finally:
+                await service.close()
+
+        ecc_a, ecc_b, evictions = asyncio.run(main())
+        assert evictions >= 1
+        assert ecc_a == int(serial_distances(graphs["a"], 0).max())
+        assert ecc_b == int(serial_distances(graphs["b"], 0).max())
+
+
 class TestMutation:
     """POST /mutate against a dynamic graph, interleaved with queries.
 

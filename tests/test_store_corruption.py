@@ -139,16 +139,3 @@ class TestPayloadCorruption:
         with pytest.raises(StoreFormatError):
             load_scsr(path, verify=False)
 
-
-class TestBlockLevelErrors:
-    def test_block_out_of_range(self, store_path):
-        with open_scsr(store_path) as store:
-            with pytest.raises(StoreFormatError, match="out of range"):
-                store.decode_block(store.num_blocks)
-            with pytest.raises(StoreFormatError, match="out of range"):
-                store.decode_block(-1)
-
-    def test_gather_vertex_out_of_range(self, store_path):
-        with open_scsr(store_path) as store:
-            with pytest.raises(StoreFormatError, match="out of range"):
-                store.gather_rows(np.array([store.num_vertices]))
