@@ -14,7 +14,10 @@ The primitives here are:
 
 * :func:`gather_rows` / :func:`gather_neighbors` — concatenate the
   adjacency lists of every frontier vertex (the "scan my chunk's edges"
-  step). Both accept an optional ``pool`` (duck-typed
+  step). ``gather_rows`` is defined with the CSR type in
+  :mod:`repro.graph.csr`, so the graph package's own array passes use
+  it without depending on this package; it is re-exported here. Both
+  accept an optional ``pool`` (duck-typed
   :class:`~repro.bfs.kernel.Workspace`) whose cached ``arange`` scratch
   replaces the per-level ``np.arange(total)`` allocation.
 * :func:`row_any` — per-row boolean reduction over a gathered range
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 
 __all__ = [
     "gather_neighbors",
@@ -45,36 +48,6 @@ __all__ = [
 #: the flag scan costs ``O(n)`` while the sort costs ``O(f log f)``, so
 #: the crossover sits at a constant fraction of ``n``.
 CLAIM_FRACTION = 0.125
-
-
-def gather_rows(
-    indices: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    *,
-    pool=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``indices[starts[i]:stops[i]]`` for all rows ``i``.
-
-    Returns ``(values, lengths)`` where ``values`` is the concatenation
-    and ``lengths[i] = stops[i] - starts[i]``. The flat gather index is
-    built with ``repeat``/``cumsum`` arithmetic so the whole operation is
-    ``O(total)`` compiled work with no Python-level loop, including for
-    empty rows.
-
-    ``pool`` (any object with an ``arange(total)`` method, normally a
-    :class:`~repro.bfs.kernel.Workspace`) supplies the ``0..total-1``
-    base ramp from a cached scratch buffer instead of allocating a
-    fresh ``np.arange`` per call; the scratch is only read.
-    """
-    lengths = (stops - starts).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lengths
-    prefix = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    base = pool.arange(total) if pool is not None else np.arange(total, dtype=np.int64)
-    flat = base + np.repeat(starts - prefix, lengths)
-    return indices[flat].astype(np.int64), lengths
 
 
 def gather_neighbors(

@@ -54,9 +54,10 @@ class StageTimes:
     chain: float = 0.0
     eliminate: float = 0.0  # Eliminate calls + extension sweeps
     ecc_bfs: float = 0.0  # main-loop eccentricity BFS calls
+    prep: float = 0.0  # reduction pipeline: gate, reductions, split, plan, reorder
     other: float = 0.0
 
-    _STAGES = ("init_bfs", "winnow", "chain", "eliminate", "ecc_bfs", "other")
+    _STAGES = ("init_bfs", "winnow", "chain", "eliminate", "ecc_bfs", "prep", "other")
 
     def total(self) -> float:
         """Sum over all stages."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import AlgorithmError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "gather_rows"]
 
 
 @dataclass(frozen=True)
@@ -228,3 +228,33 @@ class CSRGraph:
             f"CSRGraph(name={self.name!r}, n={self.num_vertices}, "
             f"m={self.num_edges})"
         )
+
+
+def gather_rows(
+    indices: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    *,
+    pool=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``indices[starts[i]:stops[i]]`` for all rows ``i``.
+
+    Returns ``(values, lengths)`` where ``values`` is the concatenation
+    and ``lengths[i] = stops[i] - starts[i]``. The flat gather index is
+    built with ``repeat``/``cumsum`` arithmetic so the whole operation is
+    ``O(total)`` compiled work with no Python-level loop, including for
+    empty rows.
+
+    ``pool`` (any object with an ``arange(total)`` method, normally a
+    :class:`~repro.bfs.kernel.Workspace`) supplies the ``0..total-1``
+    base ramp from a cached scratch buffer instead of allocating a
+    fresh ``np.arange`` per call; the scratch is only read.
+    """
+    lengths = (stops - starts).astype(np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), lengths
+    prefix = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    base = pool.arange(total) if pool is not None else np.arange(total, dtype=np.int64)
+    flat = base + np.repeat(starts - prefix, lengths)
+    return indices[flat].astype(np.int64), lengths

@@ -9,10 +9,13 @@ and, in particular, vertices with degree 1 tend to be on the
 the *core number* of a vertex is the largest ``k`` such that the vertex
 survives in the maximal subgraph of minimum degree ``k``.
 
-Implemented with the classic peeling algorithm in bucket form
+:func:`core_numbers` is the classic peeling algorithm in bucket form
 (Batagelj–Zaveršnik), ``O(n + m)``: vertices are processed in
 increasing current-degree order; removing a vertex decrements its
-neighbours' effective degrees.
+neighbours' effective degrees. It is a Python loop over every arc, so
+the one-``k`` question callers actually ask — "which vertices are in
+the ``k``-core?" — is answered by :func:`k_core_mask` instead, which
+strips whole rounds of sub-``k`` vertices with array operations.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import AlgorithmError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 
 __all__ = ["CoreDecomposition", "core_numbers", "k_core_mask", "degeneracy"]
 
@@ -98,10 +101,32 @@ def core_numbers(graph: CSRGraph) -> CoreDecomposition:
 
 
 def k_core_mask(graph: CSRGraph, k: int) -> np.ndarray:
-    """Boolean mask of the vertices in the ``k``-core."""
+    """Boolean mask of the vertices in the ``k``-core.
+
+    Iterative degree stripping: every vertex of degree below ``k`` is
+    dead from the start and forms the first frontier. Each round
+    gathers the frontier's neighbourhoods in one shot, decrements the
+    degrees of the still-alive neighbours once per hit
+    (``np.subtract.at``), and makes the hit vertices that fell below
+    ``k`` the next frontier. Each arc is gathered once (from its dead
+    side) and every round costs ``O(its hits)``, so the work is
+    ``O(n + m)`` array operations over a number of rounds equal to the
+    longest chain of removals — for ``k = 2`` the longest pendant path.
+    Equals ``core_numbers(graph).core >= k``.
+    """
     if k < 0:
         raise AlgorithmError("k must be non-negative")
-    return core_numbers(graph).core >= k
+    degree = graph.degrees.astype(np.int64)
+    alive = degree >= k
+    frontier = np.flatnonzero(~alive)
+    indptr, indices = graph.indptr, graph.indices
+    while len(frontier):
+        neigh, _ = gather_rows(indices, indptr[frontier], indptr[frontier + 1])
+        neigh = neigh[alive[neigh]]
+        np.subtract.at(degree, neigh, 1)
+        frontier = np.unique(neigh[degree[neigh] < k])
+        alive[frontier] = False
+    return alive
 
 
 def degeneracy(graph: CSRGraph) -> int:

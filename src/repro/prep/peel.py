@@ -24,7 +24,12 @@ disconnected inputs the same identity holds per component, which is how
 :mod:`repro.prep.pipeline` consumes it.
 
 Everything here is vectorized per BFS level; the only Python-level loop
-is over tree depth (bounded by the longest pendant path).
+is over tree depth (bounded by the longest pendant path). That includes
+the 2-core itself: :func:`~repro.graph.kcore.k_core_mask` strips leaves
+in whole-array rounds, and its round count is the longest pendant path
+too. The reduced graph is spliced straight into CSR form — the induced
+2-core is already sorted and deduplicated, and every spine id sorts
+after every core id — so no edge-list sort runs either.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bfs.frontier import gather_rows
-from repro.graph.build import from_edge_arrays
+from repro.graph.build import _index_dtype
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
-from repro.graph.kcore import core_numbers
+from repro.graph.kcore import k_core_mask
 from repro.graph.subgraph import induced_subgraph
 
 __all__ = ["PeelResult", "peel_pendant_trees"]
@@ -116,7 +121,7 @@ def peel_pendant_trees(graph: CSRGraph, name: str | None = None) -> PeelResult:
     n = graph.num_vertices
     if n == 0:
         return _identity_result(graph)
-    in_core = core_numbers(graph).core >= 2
+    in_core = k_core_mask(graph, 2)
     num_forest = int(n - np.count_nonzero(in_core))
     if num_forest == 0:
         return _identity_result(graph)
@@ -206,24 +211,9 @@ def peel_pendant_trees(graph: CSRGraph, name: str | None = None) -> PeelResult:
     k = sub.graph.num_vertices
     total_spine = int(heights.sum())
     reduced_name = name or f"{graph.name}:peeled"
-    base_src = np.repeat(
-        np.arange(k, dtype=np.int64), np.diff(sub.graph.indptr)
+    reduced = _splice_spines(
+        sub.graph, sub.from_parent[anchor_ids], heights, reduced_name
     )
-    base_dst = sub.graph.indices.astype(np.int64)
-    if total_spine:
-        anchors_local = sub.from_parent[anchor_ids]
-        offsets = np.concatenate(([0], np.cumsum(heights)[:-1])).astype(np.int64)
-        spine_anchor = np.repeat(np.arange(len(anchor_ids)), heights)
-        spine_ids = k + np.arange(total_spine, dtype=np.int64)
-        spine_pos = np.arange(total_spine, dtype=np.int64) - offsets[spine_anchor]
-        prev = np.where(
-            spine_pos == 0, anchors_local[spine_anchor], spine_ids - 1
-        )
-        src = np.concatenate([base_src, prev])
-        dst = np.concatenate([base_dst, spine_ids])
-    else:
-        src, dst = base_src, base_dst
-    reduced = from_edge_arrays(src, dst, k + total_spine, name=reduced_name)
 
     return PeelResult(
         graph=reduced,
@@ -236,3 +226,51 @@ def peel_pendant_trees(graph: CSRGraph, name: str | None = None) -> PeelResult:
         vertices_removed=n - reduced.num_vertices,
         edges_removed=graph.num_edges - reduced.num_edges,
     )
+
+
+def _splice_spines(
+    core: CSRGraph, anchors: np.ndarray, heights: np.ndarray, name: str
+) -> CSRGraph:
+    """The 2-core ``core`` plus a spine path of ``heights[i]`` vertices
+    hanging off each (distinct) core vertex ``anchors[i]``.
+
+    Spine ids run ``k, k+1, ...`` anchor by anchor, the first vertex of
+    each spine adjacent to its anchor. Because every spine id is at
+    least ``k``, an anchor's row is its (sorted) core row with its
+    first spine id appended, and a spine row is ``[prev]`` or
+    ``[prev, next]`` — already sorted, so the CSR arrays are laid out
+    directly with ``cumsum``/scatter instead of an edge-list sort. The
+    result is identical to :func:`~repro.graph.build.from_edge_arrays`
+    over the same edges, ``indices`` dtype included.
+    """
+    k = core.num_vertices
+    total_spine = int(heights.sum())
+    num_vertices = k + total_spine
+    core_deg = core.degrees
+    spine_start = k + np.cumsum(heights) - heights  # first spine id per anchor
+    spine_tip = spine_start + heights - 1
+
+    degree = np.full(num_vertices, 2, dtype=np.int64)
+    degree[:k] = core_deg
+    degree[anchors] += 1
+    degree[spine_tip] -= 1
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=_index_dtype(num_vertices))
+
+    # Core rows: each shifts right by the anchors before it.
+    extra = np.zeros(k, dtype=np.int64)
+    extra[anchors] = 1
+    shift = np.cumsum(extra) - extra
+    indices[np.arange(len(core.indices)) + np.repeat(shift, core_deg)] = core.indices
+    indices[indptr[anchors + 1] - 1] = spine_start
+
+    # Spine rows: [prev] then, except at a tip, [next].
+    spine = np.arange(k, num_vertices, dtype=np.int64)
+    prev = spine - 1
+    prev[spine_start - k] = anchors
+    indices[indptr[spine]] = prev
+    inner = np.ones(total_spine, dtype=bool)
+    inner[spine_tip - k] = False
+    indices[indptr[spine[inner]] + 1] = spine[inner] + 1
+    return CSRGraph(indptr, indices, name=name)

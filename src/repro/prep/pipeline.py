@@ -182,7 +182,7 @@ def fdiam_prepped(
             deadline=deadline,
         )
         result.stats.prep = prep_stats
-        result.stats.times.other += gate_elapsed + plan_elapsed
+        result.stats.times.prep += gate_elapsed + plan_elapsed
         return result
 
     total = FDiamStats(
@@ -195,7 +195,7 @@ def fdiam_prepped(
     prep_stats.stages_gated = stages_gated
     total.prep = prep_stats
     total.removed_by[Reason.PREP] += prep_stats.vertices_removed
-    total.times.other += gate_elapsed + time.perf_counter() - started
+    total.times.prep += gate_elapsed + time.perf_counter() - started
 
     work = prepared.graph
     best = prepared.correction
@@ -203,7 +203,8 @@ def fdiam_prepped(
     have_initial_bound = False
 
     if work.num_vertices:
-        components = connected_components(work)
+        with total.timing("prep"):
+            components = connected_components(work)
         num_components += components.num_components
         prep_stats.components_total = components.num_components
         # Largest first: its diameter usually dominates, so later
@@ -215,7 +216,7 @@ def fdiam_prepped(
                 prep_stats.components_skipped += 1
                 total.removed_by[Reason.PREP] += size
                 continue
-            with total.timing("other"):
+            with total.timing("prep"):
                 if components.num_components == 1:
                     comp_graph = work
                 else:

@@ -52,6 +52,9 @@ CONFIG_LATTICE: list[tuple[str, FDiamConfig]] = [
     ("fdiam/bitparallel", FDiamConfig(engine="bitparallel")),
     ("fdiam/par+prep", FDiamConfig(prep="auto")),
     ("fdiam/ser+prep", FDiamConfig(engine="serial", prep="auto")),
+    # Ungated: ``auto`` vetoes the peel on most small fuzz graphs, so
+    # this label is what keeps the peel and collapse stages under test.
+    ("fdiam/par+peel", FDiamConfig(prep="peel,collapse")),
     ("fdiam/par+tip-batch", FDiamConfig(chain_tip_batch=True)),
     ("fdiam/random-order", FDiamConfig(order="random", seed=7)),
     ("fdiam/no-winnow", FDiamConfig(use_winnow=False)),

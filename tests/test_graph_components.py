@@ -1,5 +1,7 @@
 """Unit tests for connected components."""
 
+from collections import deque
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -9,9 +11,30 @@ from repro.generators import disjoint_union, grid_2d, path_graph, star_graph
 from repro.graph import (
     connected_components,
     empty_graph,
+    from_edge_arrays,
     from_edges,
     largest_component_mask,
 )
+
+
+def scan_order_components(graph):
+    """Reference labelling: a deque BFS from each unlabelled vertex, in
+    increasing vertex order, numbering components as they are found."""
+    n = graph.num_vertices
+    labels = np.full(n, -1, dtype=np.int64)
+    component = 0
+    for seed in range(n):
+        if labels[seed] != -1:
+            continue
+        labels[seed] = component
+        queue = deque([seed])
+        while queue:
+            for w in graph.neighbors(queue.popleft()).tolist():
+                if labels[w] == -1:
+                    labels[w] = component
+                    queue.append(w)
+        component += 1
+    return labels, np.bincount(labels, minlength=component).astype(np.int64)
 
 
 class TestConnectedComponents:
@@ -87,3 +110,54 @@ class TestLargestComponentMask:
     def test_mask_dtype(self):
         mask = largest_component_mask(path_graph(3))
         assert mask.dtype == np.bool_
+
+
+def _assert_matches_reference(graph):
+    cc = connected_components(graph)
+    labels, sizes = scan_order_components(graph)
+    assert cc.labels.dtype == np.int64 and cc.sizes.dtype == np.int64
+    assert np.array_equal(cc.labels, labels)
+    assert np.array_equal(cc.sizes, sizes)
+
+
+class TestHookAndCompressMatchesScanOrder:
+    """Labels and sizes equal the scan-order BFS sweep exactly."""
+
+    def test_empty_graph(self):
+        _assert_matches_reference(empty_graph(0))
+
+    def test_thousands_of_singletons(self):
+        _assert_matches_reference(empty_graph(3000))
+
+    def test_thousands_of_k2_components(self):
+        # Pairs (2i, 2i+1) shuffled into the id space, plus singletons.
+        rng = np.random.default_rng(11)
+        ids = rng.permutation(5000)
+        g = from_edge_arrays(ids[0:4000:2], ids[1:4000:2], 5000)
+        _assert_matches_reference(g)
+
+    def test_components_whose_smallest_vertex_comes_late(self):
+        # Long paths laid out with descending ids, interleaved with
+        # other components, so hooking needs several rounds.
+        n = 600
+        order = np.arange(n)[::-1].reshape(3, -1).T.ravel()
+        src = order[:-3]
+        dst = order[3:]
+        _assert_matches_reference(from_edge_arrays(src, dst, n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sparse_graphs(self, seed):
+        rng = np.random.default_rng(seed + 1900)
+        n = int(rng.integers(1, 2000))
+        m = int(rng.integers(0, n))
+        g = from_edge_arrays(rng.integers(0, n, m), rng.integers(0, n, m), n)
+        _assert_matches_reference(g)
+
+    def test_largest_first_tie_order(self):
+        # Equal sizes keep scan order: the pipeline solves components
+        # largest first with ties broken by smallest vertex id.
+        g = disjoint_union([path_graph(2), star_graph(4), path_graph(4)])
+        cc = connected_components(g)
+        assert cc.sizes.tolist() == [2, 4, 4]
+        order = np.argsort(-cc.sizes, kind="stable")
+        assert order.tolist() == [1, 2, 0]

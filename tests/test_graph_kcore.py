@@ -3,18 +3,22 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_gnp, to_nx
 from repro.errors import AlgorithmError
 from repro.generators import (
+    add_isolated_vertices,
+    add_tendrils,
     barabasi_albert,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     lollipop,
     path_graph,
     star_graph,
 )
-from repro.graph import empty_graph
+from repro.graph import empty_graph, from_edges, from_networkx
 from repro.graph.kcore import core_numbers, degeneracy, k_core_mask
 
 
@@ -103,3 +107,67 @@ class TestPeelOrderAndMask:
         dec = core_numbers(g)
         tip = g.num_vertices - 1
         assert dec.core[tip] == dec.core.min()
+
+
+def _edge_graph(n, edges):
+    return from_edges(edges, num_vertices=n) if edges else empty_graph(n)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return empty_graph(0)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return _edge_graph(n, draw(st.lists(pairs, max_size=3 * n)))
+
+
+def _mask_families():
+    """Seeded graphs covering the strip's edge cases."""
+    yield "isolated", empty_graph(7)
+    yield "path", path_graph(30)
+    yield "star", star_graph(12)
+    yield "tree", from_networkx(nx.random_labeled_tree(60, seed=4))
+    yield "cycle", cycle_graph(9)
+    yield "lollipop", lollipop(6, 8)  # clique with a long tail
+    tails = [(i, (i + 1) % 8) for i in range(8)]
+    tails += [(0, 8), (8, 9), (9, 10), (3, 11), (11, 12), (12, 13), (12, 14)]
+    yield "cycle-with-tails", from_edges(tails)
+    yield "union", disjoint_union(
+        [complete_graph(5), path_graph(4), cycle_graph(6), star_graph(5)]
+    )
+    g, _ = random_gnp(80, 0.05, 1800)
+    yield "gnp-with-isolated", add_isolated_vertices(g, 5)
+    yield "powerlaw", barabasi_albert(300, 2, seed=35)
+
+
+class TestKCoreMaskMatchesCoreNumbers:
+    """The leaf-stripping mask against the bucketed peel as oracle."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_seeded_families(self, k):
+        for label, g in _mask_families():
+            expected = core_numbers(g).core >= k
+            assert np.array_equal(k_core_mask(g, k), expected), label
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.integers(0, 4))
+    def test_random_graphs(self, g, k):
+        expected = core_numbers(g).core >= k
+        assert np.array_equal(k_core_mask(g, k), expected)
+
+    def test_many_hits_on_one_vertex(self):
+        # Pendant leaves far outnumber the cycle, so the first round
+        # hits each cycle vertex several times and every hit must count.
+        g = add_tendrils(cycle_graph(50), 200, 1, 1, seed=3)
+        for k in range(4):
+            assert np.array_equal(k_core_mask(g, k), core_numbers(g).core >= k)
+
+    def test_long_pendant_path(self):
+        # One vertex leaves per round, for as many rounds as the tail.
+        g = lollipop(5, 400)
+        for k in range(4):
+            assert np.array_equal(k_core_mask(g, k), core_numbers(g).core >= k)
+
+    def test_empty_graph(self):
+        assert k_core_mask(empty_graph(0), 2).shape == (0,)

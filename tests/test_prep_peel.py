@@ -9,6 +9,7 @@ diameter — ``diam(original) = max(diam(peeled), correction)``.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.fdiam import fdiam
@@ -20,8 +21,9 @@ from repro.generators import (
     star_graph,
 )
 from repro.generators.road import road_network
-from repro.graph import from_edges, from_networkx
+from repro.graph import CSRGraph, from_edge_arrays, from_edges, from_networkx
 from repro.prep import PrepSpec, fdiam_prepped, peel_pendant_trees
+from repro.prep.peel import _splice_spines
 from repro.core.config import FDiamConfig
 
 from conftest import nx_cc_diameter, to_nx
@@ -131,3 +133,86 @@ class TestPeelCounters:
         assert prepped.stats.prep.peel_anchors == 1
         spec = PrepSpec.parse("peel")
         assert spec.tokens == ("peel",)
+
+
+def rebuilt_reduced_graph(core, anchors, heights, name):
+    """Reference: the reduced graph as an edge list fed through the
+    general builder (sort + dedup), the way peeling used to build it."""
+    k = core.num_vertices
+    total = int(heights.sum())
+    src = np.repeat(np.arange(k, dtype=np.int64), np.diff(core.indptr))
+    dst = core.indices.astype(np.int64)
+    if total:
+        offsets = np.concatenate(([0], np.cumsum(heights)[:-1]))
+        spine_anchor = np.repeat(np.arange(len(anchors)), heights)
+        spine_ids = k + np.arange(total, dtype=np.int64)
+        spine_pos = np.arange(total) - offsets[spine_anchor]
+        prev = np.where(spine_pos == 0, anchors[spine_anchor], spine_ids - 1)
+        src = np.concatenate([src, prev])
+        dst = np.concatenate([dst, spine_ids])
+    return from_edge_arrays(src, dst, k + total, name=name)
+
+
+def _assert_same_csr(got, want):
+    assert got.name == want.name
+    assert got.indptr.dtype == want.indptr.dtype
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+def cycle_with_trees_and_a_path():
+    """A 6-cycle with two pendant trees, plus a separate 5-path."""
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(0, 6), (6, 7), (6, 8), (3, 9)]
+    edges += [(10, 11), (11, 12), (12, 13), (13, 14)]
+    return from_edges(edges)
+
+
+class TestSpineSplice:
+    """The sort-free splice equals a full edge-list rebuild."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_core_random_spines(self, seed, index_dtype):
+        rng = np.random.default_rng(seed + 2000)
+        k = int(rng.integers(3, 60))
+        m = int(rng.integers(k, 4 * k))
+        base = from_edge_arrays(rng.integers(0, k, m), rng.integers(0, k, m), k)
+        core = CSRGraph(base.indptr, base.indices.astype(index_dtype), name="c")
+        anchors = np.sort(rng.choice(k, size=int(rng.integers(1, k)), replace=False))
+        heights = rng.integers(1, 6, size=len(anchors))
+        got = _splice_spines(core, anchors, heights, "c:peeled")
+        _assert_same_csr(got, rebuilt_reduced_graph(core, anchors, heights, "c:peeled"))
+        assert got.indices.dtype == np.int32
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_no_spines(self, index_dtype):
+        base = cycle_graph(7)
+        core = CSRGraph(base.indptr, base.indices.astype(index_dtype), name="c")
+        none = np.empty(0, dtype=np.int64)
+        got = _splice_spines(core, none, none, "c:peeled")
+        _assert_same_csr(got, rebuilt_reduced_graph(core, none, none, "c:peeled"))
+
+    def test_empty_core(self):
+        # A forest peels to nothing: the reduced graph has no vertices.
+        core = from_edges([], num_vertices=0)
+        none = np.empty(0, dtype=np.int64)
+        got = _splice_spines(core, none, none, "f:peeled")
+        _assert_same_csr(got, rebuilt_reduced_graph(core, none, none, "f:peeled"))
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_peel_end_to_end_dtype_and_name(self, index_dtype):
+        # Tree components (no spines) plus a core with pendant trees.
+        base = cycle_with_trees_and_a_path()
+        graph = CSRGraph(base.indptr, base.indices.astype(index_dtype), name="g")
+        res = peel_pendant_trees(graph)
+        assert res.graph.name == "g:peeled"
+        assert res.graph.indices.dtype == np.int32
+        assert res.spine_vertices > 0 and res.tree_components == 1
+        edges = np.array(list(res.graph.iter_edges()), dtype=np.int64)
+        rebuilt = from_edge_arrays(
+            edges[:, 0], edges[:, 1], res.graph.num_vertices, name="g:peeled"
+        )
+        _assert_same_csr(res.graph, rebuilt)
+        assert peeled_diameter(graph) == nx_cc_diameter(to_nx(graph))

@@ -8,6 +8,8 @@ spec the grammar accepts.
 
 from __future__ import annotations
 
+import time
+
 import networkx as nx
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.fdiam import fdiam
 from repro.errors import AlgorithmError
 from repro.generators import (
     add_isolated_vertices,
+    add_tendrils,
     balanced_tree,
     barbell,
     caterpillar,
@@ -202,6 +205,33 @@ class TestPrepStats:
 
         spec = PrepSpec.parse("peel,collapse,reorder")
         assert gate_spec(grid_2d(8, 8), spec) == (spec, ())
+
+    def test_prep_time_has_its_own_stage(self, monkeypatch):
+        # The reductions, split and planning are booked to "prep", not
+        # to the catch-all "other". A peel slowed by a known sleep must
+        # land wholly in prep.
+        import repro.prep.pipeline as pipeline
+
+        real_peel = pipeline.peel_pendant_trees
+        delay = 0.05
+
+        def slow_peel(graph):
+            time.sleep(delay)
+            return real_peel(graph)
+
+        monkeypatch.setattr(pipeline, "peel_pendant_trees", slow_peel)
+        graph = add_tendrils(cycle_graph(30), 20, 2, 6, seed=1)
+        res = fdiam(graph, FDiamConfig(prep="peel"))
+        assert res.stats.prep.peel_vertices_removed > 0
+        assert res.stats.times.prep >= delay
+        assert res.stats.times.other < delay
+        assert res.diameter == fdiam(graph).diameter
+
+    def test_all_gated_run_books_prep_time(self):
+        res = fdiam(grid_2d(8, 8), FDiamConfig(prep="auto"))
+        assert res.stats.prep.stages_gated == ("peel", "collapse", "reorder")
+        assert res.stats.times.prep > 0
+        assert "prep" in res.stats.times.fractions()
 
     def test_preprocess_alone_is_consistent(self):
         graph = caterpillar(10, 3)
